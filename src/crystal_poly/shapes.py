@@ -21,7 +21,6 @@ from __future__ import annotations
 from collections import deque
 
 from .cartan import Context
-from .crystal import ZVector
 from .inequalities import LinearForm, node_cap
 
 # --------------------------------------------------------------------------------
@@ -570,12 +569,31 @@ _SHAPE_CACHE: dict[tuple, tuple] = {}
 
 
 def enumerate_shapes(ctx: Context, k: int, s: int, bound: int):
-    """BFS over single additions from the ground shape, keeping shapes whose
-    form at offset ``s`` stays inside the position bound.
+    """BFS over single additions from the ground shape, quotiented by form:
+    returns one representative shape per distinct form at offset ``s`` whose
+    positions stay inside the bound.
 
-    Returns (shapes set, converged flag).  Shapes are pruned by the position
+    Returns (shapes set, converged flag).  The ground shape is the
+    representative of its own form.  Children are pruned by the position
     reach of their own form, so the traversal terminates; the margin built
     into callers' bounds is validated by the closure-equality checks.
+
+    Why one shape per form suffices.  By the one-box move identity, each
+    legal move changes the form by plus or minus one coupling form at the
+    move's index.  A positive coefficient marks an addable corner (point,
+    slot) that every shape of that form has, and adding there subtracts the
+    coupling form at that position's index; so the forms these moves reach
+    depend only on the form, not on the hidden region the form drops (terms
+    at occurrence index below 1, and corner terms that cancel).  Moves at
+    hidden corners do depend on the hidden region, and two shapes of one
+    form can have different children.  That the representatives still reach
+    every form of the full shape BFS is checked, not proven: against the
+    full BFS over the acceptance grid in the tests, and against the
+    rewriting closures by the acceptance gate.  Callers use only the forms
+    of the returned shapes.
+
+    The node cap counts distinct forms.  Only converged results are cached;
+    a converged result does not depend on the cap.
     """
     key = (ctx.family, ctx.n, ctx.word, k, s, bound)
     cached = _SHAPE_CACHE.get(key)
@@ -583,24 +601,24 @@ def enumerate_shapes(ctx: Context, k: int, s: int, bound: int):
         return cached
     cap = node_cap()
     ground = ground_shape(ctx, k)
-    seen = {ground}
+    reps = {shape_form(ctx, k, ground, s): ground}
     queue = deque([ground])
     converged = True
     while queue:
         shape = queue.popleft()
         for child in shape_children(ctx, shape):
-            if child in seen:
+            form = shape_form(ctx, k, child, s)
+            if form in reps or form.max_pos() > bound:
                 continue
-            if shape_form(ctx, k, child, s).max_pos() > bound:
-                continue
-            if len(seen) >= cap:
+            if len(reps) >= cap:
                 converged = False
                 queue.clear()
                 break
-            seen.add(child)
+            reps[form] = child
             queue.append(child)
-    result = (frozenset(seen), converged)
-    _SHAPE_CACHE[key] = result
+    result = (frozenset(reps.values()), converged)
+    if converged:
+        _SHAPE_CACHE[key] = result
     return result
 
 
@@ -748,32 +766,3 @@ def weight_family(ctx: Context, lam: dict[int, int], window: int):
         converged = converged and ok
         all_forms |= fam
     return frozenset(all_forms), converged
-
-
-# --------------------------------------------------------------------------------
-# starred string values from forms
-# --------------------------------------------------------------------------------
-
-_EPS_CACHE: dict[tuple, frozenset[LinearForm]] = {}
-
-
-def epsilon_star_value(ctx: Context, x: ZVector, k: int) -> int:
-    """max(0, max of -form(x)) over the zero-weight family of color k.
-
-    Shapes beyond the window touch none of x's support and evaluate to 0,
-    which the explicit 0 accounts for.
-    """
-    window = max(x.max_pos(), ctx.n) + 2 * ctx.n
-    key = (ctx.family, ctx.n, ctx.word, k, window)
-    forms = _EPS_CACHE.get(key)
-    if forms is None:
-        forms, converged = comb_lambda(ctx, {}, k, window)
-        if not converged:
-            raise RuntimeError("shape enumeration hit the node cap")
-        _EPS_CACHE[key] = forms
-    best = 0
-    for form in forms:
-        val = -form.evaluate(x)
-        if val > best:
-            best = val
-    return best

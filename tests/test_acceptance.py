@@ -276,12 +276,13 @@ def test_criterion_5_membership_crosscheck_grid():
 
 # ----------------------------------------------------------------------------------
 # Criterion 6: per-color boundary closures equal the closed-form weighted
-# families (plus the trivial form) across the grid.
+# families (plus the trivial form) across the grid.  Budget: 60 seconds.
 # ----------------------------------------------------------------------------------
 
 
 def test_criterion_6_boundary_closures_match_families():
     def body():
+        t0 = time.perf_counter()
         combos = 0
         for fam, word in GRID8:
             ctx = Context(fam, 3, word)
@@ -300,7 +301,12 @@ def test_criterion_6_boundary_closures_match_families():
                     )
                     combos += 1
         assert combos == 48
-        return f"closure == closed family for all {combos} (word, weight, color) combos"
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 60, f"over budget: {elapsed:.1f}s"
+        return (
+            f"closure == closed family for all {combos} (word, weight, color) "
+            f"combos ({elapsed:.1f}s)"
+        )
 
     _report(6, body)
 

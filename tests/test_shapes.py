@@ -5,6 +5,7 @@ import random
 import pytest
 
 from crystal_poly import (
+    Context,
     ExtendedYoungDiagram,
     LinearForm,
     RevisedEYD,
@@ -20,7 +21,14 @@ from crystal_poly import (
     right_ladder,
     wall_form,
 )
-from crystal_poly.shapes import WallPattern, ground_shape, shape_children, shape_kind
+from crystal_poly import shapes
+from crystal_poly.shapes import (
+    WallPattern,
+    ground_shape,
+    shape_children,
+    shape_form,
+    shape_kind,
+)
 
 from util import (
     CHARGE3_DIAGRAMS,
@@ -29,6 +37,7 @@ from util import (
     REVISED_VALUES,
     RIGHT_LADDER_A1_K1,
     WALL_VALUES,
+    full_shape_bfs,
     make_context,
     mk,
     run_move_checks,
@@ -249,6 +258,42 @@ def test_enumerate_shapes_cached_and_converged():
     for sh in shapes:
         for child in shape_children(ctx, sh):
             pass  # children enumeration never raises on cached shapes
+
+
+def test_enumerate_shapes_never_caches_a_capped_run(monkeypatch):
+    monkeypatch.setattr(shapes, "_SHAPE_CACHE", {})
+    monkeypatch.setenv("CRYSTAL_POLY_NODE_CAP", "5")
+    _, converged = comb_lambda(make_context("A1"), {1: 1}, 3, 9)
+    assert not converged
+    monkeypatch.delenv("CRYSTAL_POLY_NODE_CAP")
+    family, converged = comb_lambda(make_context("A1"), {1: 1}, 3, 9)
+    assert converged
+    assert len(family) == 53
+
+
+def test_enumerate_shapes_keeps_every_form_of_the_full_bfs():
+    for fam, word in GRID8:
+        ctx = Context(fam, 3, word)
+        for k in ctx.colors():
+            if comb_lambda_case(ctx, k) != "shapes":
+                continue
+            ground = ground_shape(ctx, k)
+            small = 4 if shape_kind(ctx, k) == "reyd" else 7
+            for s, window in ((0, small), (1, 6)):
+                bound = window + 2 * ctx.n
+                reps, converged = enumerate_shapes(ctx, k, s, bound)
+                assert converged
+                rep_forms = {shape_form(ctx, k, sh, s) for sh in reps}
+                assert len(rep_forms) == len(reps), (fam, word, k, s)
+                assert ground in reps
+                full = full_shape_bfs(ctx, k, s, bound)
+                assert reps <= full
+                full_forms = [shape_form(ctx, k, sh, s) for sh in full]
+                assert rep_forms == set(full_forms), (fam, word, k, s)
+                # comb_lambda drops the ground by identity, so no other shape
+                # of the full BFS may share the ground's form
+                ground_form = shape_form(ctx, k, ground, s)
+                assert full_forms.count(ground_form) == 1, (fam, word, k, s)
 
 
 def test_move_identities_small():

@@ -9,6 +9,7 @@ the brute-force operator oracle before being frozen here.
 from __future__ import annotations
 
 import random
+from collections import deque
 
 from crystal_poly import (
     Context,
@@ -29,6 +30,7 @@ from crystal_poly.shapes import (
     reyd_form,
     reyd_rem_index,
     shape_children,
+    shape_form,
     shape_kind,
     wall_form,
 )
@@ -170,6 +172,28 @@ LEFT_LADDER_C1_K2 = [
     (-1, {(1, 3): 2, (2, 2): -1}),
     (-2, {(1, 3): 1, (2, 3): -1}),
 ]
+
+
+# ----------------------------------------------------------------------------------
+# Reference shape enumeration.
+# ----------------------------------------------------------------------------------
+
+
+def full_shape_bfs(ctx: Context, k: int, s: int, bound: int) -> set:
+    """Reference enumeration: every shape reachable from the ground by single
+    additions whose form at offset ``s`` stays inside the bound (no quotient
+    by form, no cache, no node cap)."""
+    ground = ground_shape(ctx, k)
+    seen = {ground}
+    queue = deque([ground])
+    while queue:
+        shape = queue.popleft()
+        for child in shape_children(ctx, shape):
+            if child in seen or shape_form(ctx, k, child, s).max_pos() > bound:
+                continue
+            seen.add(child)
+            queue.append(child)
+    return seen
 
 
 # ----------------------------------------------------------------------------------
