@@ -26,7 +26,6 @@ from .inequalities import (
     rewrite_plain,
     seed_offset,
     sorted_forms,
-    var_sk,
     variable,
     weight_inequalities,
     weight_seed,
@@ -99,7 +98,6 @@ __all__ = [
     "shape_form",
     "shape_kind",
     "sorted_forms",
-    "var_sk",
     "variable",
     "wall_form",
     "weight_family",

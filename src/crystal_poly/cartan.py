@@ -89,10 +89,6 @@ def fold_color(family: str, n: int, t: int) -> int:
     return 2 * n - m  # C1 and A2 share the descent rule
 
 
-def wall_period(n: int) -> int:
-    return 2 * n - 2
-
-
 def wall_color(n: int, t: int) -> int:
     """Color of the ``t``-th wall band in the vertical stacking pattern.
 
@@ -215,9 +211,6 @@ class Context:
 
     def wall_fold(self, t: int) -> int:
         return wall_color(self.n, t)
-
-    def half_colors(self) -> frozenset[int]:
-        return self.specials
 
     # ---- shift tables ----------------------------------------------------------
     def shift(self, k: int, t: int) -> int:

@@ -43,6 +43,43 @@ class LinearForm:
 
     ZERO: "LinearForm"
 
+    @classmethod
+    def _raw(cls, constant: int, terms: tuple) -> "LinearForm":
+        """Build from ``terms`` already sorted by position, positions >= 1 and
+        coefficients nonzero; nothing is checked."""
+        self = object.__new__(cls)
+        self.constant = constant
+        self._terms = terms
+        self._h = hash((constant, terms))
+        return self
+
+    def _plus(self, other: "LinearForm") -> "LinearForm":
+        """``self + other`` for two valid forms, without re-validating: a merge
+        of the two sorted term tuples that drops zero sums, so the result's
+        positions stay >= 1, sorted and with nonzero coefficients."""
+        a, b = self._terms, other._terms
+        na, nb = len(a), len(b)
+        out = []
+        i = j = 0
+        while i < na and j < nb:
+            pa, ca = a[i]
+            pb, cb = b[j]
+            if pa < pb:
+                out.append(a[i])
+                i += 1
+            elif pb < pa:
+                out.append(b[j])
+                j += 1
+            else:
+                c = ca + cb
+                if c:
+                    out.append((pa, c))
+                i += 1
+                j += 1
+        out.extend(a[i:])
+        out.extend(b[j:])
+        return LinearForm._raw(self.constant + other.constant, tuple(out))
+
     @property
     def terms(self) -> tuple[tuple[int, int], ...]:
         return self._terms
@@ -159,10 +196,6 @@ def variable(pos: int) -> LinearForm:
     return LinearForm(0, {pos: 1})
 
 
-def var_sk(ctx: Context, s: int, k: int) -> LinearForm:
-    return variable(ctx.pos_of(s, k))
-
-
 def sorted_forms(forms) -> list[LinearForm]:
     return sorted(forms, key=LinearForm.sort_key)
 
@@ -208,30 +241,39 @@ def seed_offset(ctx: Context, k: int) -> LinearForm:
 # ---- rewriting steps ------------------------------------------------------------
 
 
+def _delta(ctx: Context, lam):
+    """The rewriting step as ``delta(pos, positive)``: the form that a step at
+    ``pos`` adds to a form whose coefficient there has the given sign, or
+    ``None`` when the step does not move.
+
+    ``lam is None`` gives the plain step (limit crystal), a weight dict the
+    boundary-aware one (highest-weight case).  The form depends only on the
+    position and the sign, never on the form rewritten.
+    """
+
+    def delta(pos: int, positive: bool) -> LinearForm | None:
+        s, k = ctx.sk_of(pos)
+        if positive:
+            return -coupling_form(ctx, s, k)
+        if s >= 2:
+            return coupling_form(ctx, s - 1, k)
+        return None if lam is None else -weight_seed(ctx, lam, k)
+
+    return delta
+
+
+def rewrite(ctx: Context, lam: dict[int, int] | None, form: LinearForm,
+            pos: int) -> LinearForm:
+    """One boundary-aware rewriting step at ``pos`` (highest-weight flavor);
+    ``lam=None`` gives the plain step."""
+    c = form.coeff(pos)
+    d = _delta(ctx, lam)(pos, c > 0) if c else None
+    return form if d is None else form._plus(d)
+
+
 def rewrite_plain(ctx: Context, form: LinearForm, pos: int) -> LinearForm:
     """One plain rewriting step at ``pos`` (limit-crystal flavor)."""
-    c = form.coeff(pos)
-    if c == 0:
-        return form
-    s, k = ctx.sk_of(pos)
-    if c > 0:
-        return form - coupling_form(ctx, s, k)
-    if s >= 2:
-        return form + coupling_form(ctx, s - 1, k)
-    return form
-
-
-def rewrite(ctx: Context, lam: dict[int, int], form: LinearForm, pos: int) -> LinearForm:
-    """One boundary-aware rewriting step at ``pos`` (highest-weight flavor)."""
-    c = form.coeff(pos)
-    if c == 0:
-        return form
-    s, k = ctx.sk_of(pos)
-    if c > 0:
-        return form - coupling_form(ctx, s, k)
-    if s >= 2:
-        return form + coupling_form(ctx, s - 1, k)
-    return form - weight_seed(ctx, lam, k)
+    return rewrite(ctx, None, form, pos)
 
 
 # ---- closures --------------------------------------------------------------------
@@ -252,17 +294,35 @@ class ClosureResult:
         return iter(self.forms)
 
 
-def _close(seeds, step, bound: int) -> ClosureResult:
+def _close(seeds, delta, bound: int) -> ClosureResult:
+    """Breadth-first closure of ``seeds`` under the step ``delta`` (see
+    ``_delta``), keeping forms whose last position is at most ``bound``.
+
+    A step's form depends only on (position, sign), so each is built once per
+    call, in a table keyed by the signed position (``pos`` or ``-pos``), and
+    added with the merge ``_plus``.  That merge is safe here because both
+    operands are valid forms: positions stay >= 1 and the terms stay sorted
+    and nonzero.  A form that leaves the bound counts as pruned; once
+    ``node_cap()`` forms are kept the search stops, unconverged.
+    """
     cap = node_cap()
     seen = set(seeds)
     queue = deque(seen)
+    table: dict[int, LinearForm | None] = {}
     pruned = 0
     converged = True
     while queue:
         form = queue.popleft()
-        for pos in form.positions():
-            new = step(form, pos)
-            if new == form or new in seen:
+        for pos, c in form.terms:
+            key = pos if c > 0 else -pos
+            try:
+                d = table[key]
+            except KeyError:
+                d = table[key] = delta(pos, c > 0)
+            if d is None:
+                continue
+            new = form._plus(d)
+            if new in seen:
                 continue
             if new.max_pos() > bound:
                 pruned += 1
@@ -282,11 +342,11 @@ def _bound(ctx: Context, window: int, margin_periods: int = 2) -> int:
 
 def closure_plain(ctx: Context, seeds, window: int) -> ClosureResult:
     """Closure of ``seeds`` under plain rewriting, generated out to a margin."""
-    return _close(seeds, lambda f, p: rewrite_plain(ctx, f, p), _bound(ctx, window))
+    return _close(seeds, _delta(ctx, None), _bound(ctx, window))
 
 
 def closure_boundary(ctx: Context, lam, seeds, window: int) -> ClosureResult:
-    return _close(seeds, lambda f, p: rewrite(ctx, lam, f, p), _bound(ctx, window))
+    return _close(seeds, _delta(ctx, lam), _bound(ctx, window))
 
 
 def limit_inequalities(ctx: Context, window: int) -> ClosureResult:
@@ -325,19 +385,18 @@ def membership_family(ctx: Context, lam, support: int,
     """
     bound = support + margin_periods * ctx.period
     seeds = [variable(p) for p in range(1, bound + 1)]
-    res = _close(seeds, lambda f, p: rewrite_plain(ctx, f, p), bound)
+    res = _close(seeds, _delta(ctx, None), bound)
     forms = set(res.forms)
     converged = res.converged
     if lam is not None:
         for k in ctx.colors():
-            extra = _close([weight_seed(ctx, lam, k)],
-                           lambda f, p: rewrite(ctx, lam, f, p), bound)
+            extra = _close([weight_seed(ctx, lam, k)], _delta(ctx, lam), bound)
             forms |= extra.forms
             converged = converged and extra.converged
     return frozenset(forms), converged
 
 
-_EPS_FORMS_CACHE: dict[tuple, list[LinearForm]] = {}
+_EPS_FORMS_CACHE: dict[tuple, frozenset[LinearForm]] = {}
 
 
 def epsilon_star_forms(ctx: Context, x, k: int, window: int | None = None) -> int:
@@ -355,7 +414,7 @@ def epsilon_star_forms(ctx: Context, x, k: int, window: int | None = None) -> in
             raise RuntimeError(
                 f"offset closure for color {k} did not converge at window {window}; "
                 "raise CRYSTAL_POLY_NODE_CAP or lower the window")
-        forms = sorted_forms(res.forms)
+        forms = res.forms  # the maximum does not depend on the order
         _EPS_FORMS_CACHE[key] = forms
     best = 0
     for form in forms:
@@ -399,8 +458,13 @@ def check_ample(forms) -> bool:
 
 
 def membership(forms, x: ZVector) -> tuple[bool, LinearForm | None]:
-    """Evaluate ordered forms on x; return (ok, first violated)."""
-    for form in sorted_forms(forms):
-        if form.evaluate(x) < 0:
-            return False, form
-    return True, None
+    """Evaluate every form on x; return (ok, witness).
+
+    The witness is the smallest violated form under ``LinearForm.sort_key``,
+    i.e. the first violated one in ``sorted_forms`` order (the key is
+    injective), found without sorting the family.
+    """
+    violated = [form for form in forms if form.evaluate(x) < 0]
+    if not violated:
+        return True, None
+    return False, min(violated, key=LinearForm.sort_key)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from crystal_poly import (
+    CrystalOps,
     LinearForm,
     ZVector,
     boundary_closure_for_color,
@@ -17,6 +18,7 @@ from crystal_poly import (
     membership,
     membership_family,
     offset_closure_for_color,
+    random_reachable,
     rewrite,
     rewrite_plain,
     seed_offset,
@@ -25,13 +27,15 @@ from crystal_poly import (
     weight_inequalities,
     weight_seed,
 )
-from crystal_poly.inequalities import first_violation_positivity
+from crystal_poly.inequalities import _bound, first_violation_positivity
 
 from util import (
+    GRID8,
     UNTWISTED_SERIES,
     instantiate,
     make_context,
     mk,
+    reference_close,
     run_rewrite_relation_checks,
 )
 
@@ -51,6 +55,31 @@ def test_form_normalization():
     assert LinearForm(7).is_constant()
     with pytest.raises(ValueError):
         LinearForm(0, {0: 1})
+
+
+def _random_form(rng, positions=9):
+    terms = {rng.randrange(1, positions + 1): rng.choice((-3, -2, -1, 1, 2, 3))
+             for _ in range(rng.randrange(0, 6))}
+    return LinearForm(rng.randrange(-3, 4), terms)
+
+
+def test_plus_matches_add():
+    rng = random.Random(5)
+    for _ in range(300):
+        f, g = _random_form(rng), _random_form(rng)
+        cases = [(f, g), (f, -f), (g, -g)]
+        if f.terms:  # cancel the last position only: max_pos drops
+            top, c = f.terms[-1]
+            cases.append((f, LinearForm(1, {top: -c, 1: 1})))
+        for a, b in cases:
+            got = a._plus(b)
+            assert got == a + b
+            assert hash(got) == hash(a + b)
+            assert got.terms == (a + b).terms
+    assert LinearForm(2, {3: 1, 5: -2})._plus(LinearForm(-2, {3: -1, 5: 2})) == LinearForm.ZERO
+    f = LinearForm(0, {2: 1, 7: 4})
+    dropped = f._plus(LinearForm(0, {7: -4}))
+    assert dropped.max_pos() == 2 and dropped == variable(2)
 
 
 def test_form_algebra():
@@ -195,6 +224,47 @@ def test_weight_closure_contains_variables():
         assert variable(p) in clo.forms
 
 
+W1 = {1: 1}
+
+
+def _closure_cases(ctx, window):
+    """Each closure entry point with the lam and seeds it hands ``_close``."""
+    variables = [variable(p) for p in range(1, _bound(ctx, window) + 1)]
+    cases = [
+        ("limit", limit_inequalities(ctx, window), None, variables),
+        ("weight", weight_inequalities(ctx, W1, window), W1,
+         variables + [weight_seed(ctx, W1, k) for k in ctx.colors()]),
+    ]
+    for k in ctx.colors():
+        cases.append(("boundary", boundary_closure_for_color(ctx, W1, k, window), W1,
+                      [weight_seed(ctx, W1, k)]))
+        cases.append(("offset", offset_closure_for_color(ctx, k, window), None,
+                      [seed_offset(ctx, k)]))
+    return cases
+
+
+@pytest.mark.parametrize("family,word", GRID8)
+def test_close_matches_reference_driver(family, word):
+    ctx = make_context(family, word)
+    for window in (3, 4, 6):
+        for name, res, lam, seeds in _closure_cases(ctx, window):
+            want = reference_close(ctx, lam, seeds, _bound(ctx, window))
+            assert (res.forms, res.converged, res.pruned) == want, (name, window)
+            assert res.converged
+
+
+@pytest.mark.parametrize("family,word", GRID8)
+def test_close_matches_reference_driver_when_capped(family, word, monkeypatch):
+    monkeypatch.setenv("CRYSTAL_POLY_NODE_CAP", "50")
+    ctx = make_context(family, word)
+    for window in (3, 4):
+        for name, res, lam, seeds in _closure_cases(ctx, window):
+            want = reference_close(ctx, lam, seeds, _bound(ctx, window))
+            assert (res.forms, res.converged, res.pruned) == want, (name, window)
+            if name in ("limit", "weight"):
+                assert not res.converged and len(res.forms) == 50
+
+
 def test_node_cap_stops_generation(monkeypatch):
     monkeypatch.setenv("CRYSTAL_POLY_NODE_CAP", "5")
     clo = limit_inequalities(make_context("A1"), 6)
@@ -226,6 +296,30 @@ def test_membership_family_limit_crystal():
     assert membership(forms, star)[0]
     lone = ZVector({4: 1})  # second color-1 slot filled alone: unreachable
     assert not membership(forms, lone)[0]
+
+
+@pytest.mark.parametrize("family", ["A1", "A2", "C1", "D2"])
+@pytest.mark.parametrize("lam", [None, W1])
+def test_membership_witness_is_first_violated_in_sorted_order(family, lam):
+    ctx = make_context(family)
+    ops = CrystalOps(ctx, lam)
+    support = 6
+    forms, conv = membership_family(ctx, lam, support)
+    assert conv
+    ordered = sorted_forms(forms)
+    rng = random.Random(17)
+    members = rejected = 0
+    for i in range(300):
+        if i % 3 == 0:
+            x = random_reachable(ops, rng, rng.randrange(0, 6))
+        else:
+            x = ZVector({rng.randrange(1, support + 1): rng.randrange(-1, 3)
+                         for _ in range(rng.randrange(0, 5))})
+        want = next((f for f in ordered if f.evaluate(x) < 0), None)
+        assert membership(forms, x) == (want is None, want)
+        members += want is None
+        rejected += want is not None
+    assert members and rejected
 
 
 # ----------------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from crystal_poly import (
     rewrite_plain,
     weight_seed,
 )
+from crystal_poly.inequalities import node_cap
 from crystal_poly.shapes import (
     WallPattern,
     eyd_form,
@@ -194,6 +195,70 @@ def full_shape_bfs(ctx: Context, k: int, s: int, bound: int) -> set:
             seen.add(child)
             queue.append(child)
     return seen
+
+
+# ----------------------------------------------------------------------------------
+# Reference rewriting closure.
+# ----------------------------------------------------------------------------------
+
+
+def _reference_rewrite_plain(ctx: Context, form: LinearForm, pos: int) -> LinearForm:
+    c = form.coeff(pos)
+    if c == 0:
+        return form
+    s, k = ctx.sk_of(pos)
+    if c > 0:
+        return form - coupling_form(ctx, s, k)
+    if s >= 2:
+        return form + coupling_form(ctx, s - 1, k)
+    return form
+
+
+def _reference_rewrite(ctx: Context, lam, form: LinearForm, pos: int) -> LinearForm:
+    c = form.coeff(pos)
+    if c == 0:
+        return form
+    s, k = ctx.sk_of(pos)
+    if c > 0:
+        return form - coupling_form(ctx, s, k)
+    if s >= 2:
+        return form + coupling_form(ctx, s - 1, k)
+    return form - weight_seed(ctx, lam, k)
+
+
+def reference_close(ctx: Context, lam, seeds, bound: int):
+    """Reference closure driver: the plain (``lam is None``) or boundary-aware
+    step rebuilt at every position of every form with the public
+    ``LinearForm`` arithmetic, no step table.  Same BFS order, node cap check
+    and pruning count as ``inequalities._close``.  Returns
+    (forms, converged, pruned)."""
+    if lam is None:
+        def step(f, p):
+            return _reference_rewrite_plain(ctx, f, p)
+    else:
+        def step(f, p):
+            return _reference_rewrite(ctx, lam, f, p)
+    cap = node_cap()
+    seen = set(seeds)
+    queue = deque(seen)
+    pruned = 0
+    converged = True
+    while queue:
+        form = queue.popleft()
+        for pos in form.positions():
+            new = step(form, pos)
+            if new == form or new in seen:
+                continue
+            if new.max_pos() > bound:
+                pruned += 1
+                continue
+            if len(seen) >= cap:
+                converged = False
+                queue.clear()
+                break
+            seen.add(new)
+            queue.append(new)
+    return frozenset(seen), converged, pruned
 
 
 # ----------------------------------------------------------------------------------
