@@ -43,43 +43,6 @@ class LinearForm:
 
     ZERO: "LinearForm"
 
-    @classmethod
-    def _raw(cls, constant: int, terms: tuple) -> "LinearForm":
-        """Build from ``terms`` already sorted by position, positions >= 1 and
-        coefficients nonzero; nothing is checked."""
-        self = object.__new__(cls)
-        self.constant = constant
-        self._terms = terms
-        self._h = hash((constant, terms))
-        return self
-
-    def _plus(self, other: "LinearForm") -> "LinearForm":
-        """``self + other`` for two valid forms, without re-validating: a merge
-        of the two sorted term tuples that drops zero sums, so the result's
-        positions stay >= 1, sorted and with nonzero coefficients."""
-        a, b = self._terms, other._terms
-        na, nb = len(a), len(b)
-        out = []
-        i = j = 0
-        while i < na and j < nb:
-            pa, ca = a[i]
-            pb, cb = b[j]
-            if pa < pb:
-                out.append(a[i])
-                i += 1
-            elif pb < pa:
-                out.append(b[j])
-                j += 1
-            else:
-                c = ca + cb
-                if c:
-                    out.append((pa, c))
-                i += 1
-                j += 1
-        out.extend(a[i:])
-        out.extend(b[j:])
-        return LinearForm._raw(self.constant + other.constant, tuple(out))
-
     @property
     def terms(self) -> tuple[tuple[int, int], ...]:
         return self._terms
@@ -104,19 +67,46 @@ class LinearForm:
         return self.constant + sum(c * get(p) for p, c in self._terms)
 
     def __add__(self, other: "LinearForm") -> "LinearForm":
-        t = dict(self._terms)
-        for p, c in other._terms:
-            t[p] = t.get(p, 0) + c
-        return LinearForm(self.constant + other.constant, t)
+        """Merge of the two sorted term tuples, dropping zero sums.  Both
+        operands are valid forms, so the sum's positions stay >= 1, sorted and
+        with nonzero coefficients, and nothing needs re-checking."""
+        a, b = self._terms, other._terms
+        na, nb = len(a), len(b)
+        out = []
+        i = j = 0
+        while i < na and j < nb:
+            pa, ca = a[i]
+            pb, cb = b[j]
+            if pa < pb:
+                out.append(a[i])
+                i += 1
+            elif pb < pa:
+                out.append(b[j])
+                j += 1
+            else:
+                c = ca + cb
+                if c:
+                    out.append((pa, c))
+                i += 1
+                j += 1
+        out.extend(a[i:])
+        out.extend(b[j:])
+        res = object.__new__(LinearForm)
+        res.constant = constant = self.constant + other.constant
+        res._terms = terms = tuple(out)
+        res._h = hash((constant, terms))
+        return res
 
     def __sub__(self, other: "LinearForm") -> "LinearForm":
-        t = dict(self._terms)
-        for p, c in other._terms:
-            t[p] = t.get(p, 0) - c
-        return LinearForm(self.constant - other.constant, t)
+        return self + -other
 
     def __neg__(self) -> "LinearForm":
-        return LinearForm(-self.constant, {p: -c for p, c in self._terms})
+        """Negated coefficients at the same positions: still a valid form."""
+        res = object.__new__(LinearForm)
+        res.constant = constant = -self.constant
+        res._terms = terms = tuple((p, -c) for p, c in self._terms)
+        res._h = hash((constant, terms))
+        return res
 
     def scaled(self, m: int) -> "LinearForm":
         return LinearForm(self.constant * m, {p: c * m for p, c in self._terms})
@@ -268,7 +258,7 @@ def rewrite(ctx: Context, lam: dict[int, int] | None, form: LinearForm,
     ``lam=None`` gives the plain step."""
     c = form.coeff(pos)
     d = _delta(ctx, lam)(pos, c > 0) if c else None
-    return form if d is None else form._plus(d)
+    return form if d is None else form + d
 
 
 def rewrite_plain(ctx: Context, form: LinearForm, pos: int) -> LinearForm:
@@ -300,9 +290,9 @@ def _close(seeds, delta, bound: int) -> ClosureResult:
 
     A step's form depends only on (position, sign), so each is built once per
     call, in a table keyed by the signed position (``pos`` or ``-pos``), and
-    added with the merge ``_plus``.  That merge is safe here because both
-    operands are valid forms: positions stay >= 1 and the terms stay sorted
-    and nonzero.  A form that leaves the bound counts as pruned; once
+    added with ``+``, a merge of sorted term tuples that re-checks nothing:
+    both operands are valid forms, so positions stay >= 1 and the terms stay
+    sorted and nonzero.  A form that leaves the bound counts as pruned; once
     ``node_cap()`` forms are kept the search stops, unconverged.
     """
     cap = node_cap()
@@ -321,7 +311,7 @@ def _close(seeds, delta, bound: int) -> ClosureResult:
                 d = table[key] = delta(pos, c > 0)
             if d is None:
                 continue
-            new = form._plus(d)
+            new = form + d
             if new in seen:
                 continue
             if new.max_pos() > bound:

@@ -63,22 +63,33 @@ def _random_form(rng, positions=9):
     return LinearForm(rng.randrange(-3, 4), terms)
 
 
-def test_plus_matches_add():
+def _dict_sum(a, b, sign=1):
+    """Reference sum: add coefficients in a dict and rebuild with the checked
+    public constructor."""
+    t = dict(a.terms)
+    for p, c in b.terms:
+        t[p] = t.get(p, 0) + sign * c
+    return LinearForm(a.constant + sign * b.constant, t)
+
+
+def test_add_matches_dict_sum():
     rng = random.Random(5)
     for _ in range(300):
         f, g = _random_form(rng), _random_form(rng)
+        neg = LinearForm(-f.constant, {p: -c for p, c in f.terms})
+        assert -f == neg and hash(-f) == hash(neg) and (-f).terms == neg.terms
         cases = [(f, g), (f, -f), (g, -g)]
         if f.terms:  # cancel the last position only: max_pos drops
             top, c = f.terms[-1]
             cases.append((f, LinearForm(1, {top: -c, 1: 1})))
         for a, b in cases:
-            got = a._plus(b)
-            assert got == a + b
-            assert hash(got) == hash(a + b)
-            assert got.terms == (a + b).terms
-    assert LinearForm(2, {3: 1, 5: -2})._plus(LinearForm(-2, {3: -1, 5: 2})) == LinearForm.ZERO
+            for got, want in ((a + b, _dict_sum(a, b)), (a - b, _dict_sum(a, b, -1))):
+                assert got == want
+                assert hash(got) == hash(want)
+                assert got.terms == want.terms
+    assert LinearForm(2, {3: 1, 5: -2}) + LinearForm(-2, {3: -1, 5: 2}) == LinearForm.ZERO
     f = LinearForm(0, {2: 1, 7: 4})
-    dropped = f._plus(LinearForm(0, {7: -4}))
+    dropped = f + LinearForm(0, {7: -4})
     assert dropped.max_pos() == 2 and dropped == variable(2)
 
 
