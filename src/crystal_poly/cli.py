@@ -25,7 +25,7 @@ from .inequalities import (
     sorted_forms,
     weight_inequalities,
 )
-from .oracle import crosscheck_membership, epsilon_star_oracle, generate_closure
+from .oracle import crosscheck_membership, epsilon_star_oracle, weight_graded_counts
 from .shapes import comb_infinity, comb_lambda, weight_family
 
 
@@ -103,15 +103,11 @@ def cmd_check(ctx: Context, lam: dict | None, args) -> int:
 
 
 def cmd_enumerate(ctx: Context, lam: dict | None, args) -> int:
-    ops = CrystalOps(ctx, lam)
-    closure, levels = generate_closure(ops, args.depth)
-    for d, level in enumerate(levels):
-        print(f"depth {d}: {len(level)}")
-    print(f"total: {len(closure)}")
-    counts: dict[tuple[int, ...], int] = {}
-    for x in closure:
-        w = ops.weight_coeffs(x)
-        counts[w] = counts.get(w, 0) + 1
+    counts = weight_graded_counts(CrystalOps(ctx, lam), args.depth)
+    # each lowering step adds one to the entry sum, so depth d is entry sum d
+    for d in range(args.depth + 1):
+        print(f"depth {d}: {sum(c for w, c in counts.items() if sum(w) == d)}")
+    print(f"total: {sum(counts.values())}")
     for w in sorted(counts):
         print("colors " + ",".join(map(str, w)) + f": {counts[w]}")
     return 0

@@ -280,9 +280,6 @@ class ClosureResult:
     def within(self, window: int) -> frozenset[LinearForm]:
         return frozenset(f for f in self.forms if f.max_pos() <= window)
 
-    def __iter__(self):
-        return iter(self.forms)
-
 
 def _close(seeds, delta, bound: int) -> ClosureResult:
     """Breadth-first closure of ``seeds`` under the step ``delta`` (see
@@ -327,39 +324,36 @@ def _close(seeds, delta, bound: int) -> ClosureResult:
 
 
 def _bound(ctx: Context, window: int, margin_periods: int = 2) -> int:
+    """The one margin convention: closures run ``margin_periods`` word periods
+    past the window."""
     return window + margin_periods * ctx.period
 
 
-def closure_plain(ctx: Context, seeds, window: int) -> ClosureResult:
-    """Closure of ``seeds`` under plain rewriting, generated out to a margin."""
-    return _close(seeds, _delta(ctx, None), _bound(ctx, window))
-
-
-def closure_boundary(ctx: Context, lam, seeds, window: int) -> ClosureResult:
-    return _close(seeds, _delta(ctx, lam), _bound(ctx, window))
+def _variables(bound: int) -> list[LinearForm]:
+    return [variable(p) for p in range(1, bound + 1)]
 
 
 def limit_inequalities(ctx: Context, window: int) -> ClosureResult:
     """Closure of all single-variable seeds inside the window (limit crystal)."""
-    seeds = [variable(p) for p in range(1, _bound(ctx, window) + 1)]
-    return closure_plain(ctx, seeds, window)
+    bound = _bound(ctx, window)
+    return _close(_variables(bound), _delta(ctx, None), bound)
 
 
 def weight_inequalities(ctx: Context, lam, window: int) -> ClosureResult:
     """Closure of the variables plus all boundary seeds (highest-weight case)."""
-    seeds = [variable(p) for p in range(1, _bound(ctx, window) + 1)]
-    seeds += [weight_seed(ctx, lam, k) for k in ctx.colors()]
-    return closure_boundary(ctx, lam, seeds, window)
+    bound = _bound(ctx, window)
+    seeds = _variables(bound) + [weight_seed(ctx, lam, k) for k in ctx.colors()]
+    return _close(seeds, _delta(ctx, lam), bound)
 
 
 def boundary_closure_for_color(ctx: Context, lam, k: int, window: int) -> ClosureResult:
     """Closure of the single color-k boundary seed under boundary rewriting."""
-    return closure_boundary(ctx, lam, [weight_seed(ctx, lam, k)], window)
+    return _close([weight_seed(ctx, lam, k)], _delta(ctx, lam), _bound(ctx, window))
 
 
 def offset_closure_for_color(ctx: Context, k: int, window: int) -> ClosureResult:
     """Closure of the color-k seed offset under plain rewriting."""
-    return closure_plain(ctx, [seed_offset(ctx, k)], window)
+    return _close([seed_offset(ctx, k)], _delta(ctx, None), _bound(ctx, window))
 
 
 def membership_family(ctx: Context, lam, support: int,
@@ -373,17 +367,12 @@ def membership_family(ctx: Context, lam, support: int,
     restriction to the support matters; generating out to a margin and keeping
     every form can only sharpen the test, never wrongly reject a member.
     """
-    bound = support + margin_periods * ctx.period
-    seeds = [variable(p) for p in range(1, bound + 1)]
-    res = _close(seeds, _delta(ctx, None), bound)
-    forms = set(res.forms)
-    converged = res.converged
+    bound = _bound(ctx, support, margin_periods)
+    parts = [_close(_variables(bound), _delta(ctx, None), bound)]
     if lam is not None:
-        for k in ctx.colors():
-            extra = _close([weight_seed(ctx, lam, k)], _delta(ctx, lam), bound)
-            forms |= extra.forms
-            converged = converged and extra.converged
-    return frozenset(forms), converged
+        parts += [_close([weight_seed(ctx, lam, k)], _delta(ctx, lam), bound)
+                  for k in ctx.colors()]
+    return frozenset().union(*(r.forms for r in parts)), all(r.converged for r in parts)
 
 
 _EPS_FORMS_CACHE: dict[tuple, frozenset[LinearForm]] = {}

@@ -144,8 +144,9 @@ def _compile_matrix(forms, support: int):
     """Dense coefficient matrix of the forms' restrictions to the support box.
 
     Rows that cannot go negative on nonnegative vectors are dropped, duplicate
-    restrictions are merged, and rows are ordered by their last active column
-    so that short local forms (the strongest rejectors) are applied first.
+    restrictions are merged into the strongest one (the smallest constant), and
+    rows are ordered by their last active column so that short local forms (the
+    strongest rejectors) are applied first.
     """
     rows = {}
     for f in forms:
@@ -155,7 +156,8 @@ def _compile_matrix(forms, support: int):
                 vec[p - 1] = c
         if f.constant >= 0 and all(c >= 0 for c in vec):
             continue
-        rows.setdefault(tuple(vec), f.constant)
+        vec = tuple(vec)
+        rows[vec] = min(f.constant, rows.get(vec, f.constant))
     ordered = sorted(
         rows.items(),
         key=lambda it: (max((i for i, c in enumerate(it[0]) if c), default=0), it),

@@ -23,6 +23,22 @@ from collections import deque
 from .cartan import Context
 from .inequalities import LinearForm, node_cap
 
+
+def _form(ctx: Context, points) -> LinearForm:
+    """The form with ``coeff`` at the ``idx``-th occurrence of ``color`` for each
+    ``(idx, color, coeff)`` point, coefficients at one position summed.
+
+    A point at occurrence index below 1 lies in the hidden region, before the
+    word starts, and contributes no term.
+    """
+    terms: dict[int, int] = {}
+    for idx, color, coeff in points:
+        if idx >= 1:
+            pos = ctx.pos_of(idx, color)
+            terms[pos] = terms.get(pos, 0) + coeff
+    return LinearForm(0, terms)
+
+
 # --------------------------------------------------------------------------------
 # extended Young diagrams
 # --------------------------------------------------------------------------------
@@ -118,15 +134,9 @@ def eyd_term_index(ctx: Context, k: int, s: int, i: int, j: int) -> tuple[int, i
 
 
 def eyd_form(ctx: Context, k: int, diagram: ExtendedYoungDiagram, s: int) -> LinearForm:
-    terms: dict[int, int] = {}
     concave, convex = diagram.corners()
-    for sign, pts in ((1, concave), (-1, convex)):
-        for i, j in pts:
-            idx, color = eyd_term_index(ctx, k, s, i, j)
-            if idx >= 1:
-                pos = ctx.pos_of(idx, color)
-                terms[pos] = terms.get(pos, 0) + sign
-    return LinearForm(0, terms)
+    return _form(ctx, [(*eyd_term_index(ctx, k, s, i, j), sign)
+                       for sign, pts in ((1, concave), (-1, convex)) for i, j in pts])
 
 
 # --------------------------------------------------------------------------------
@@ -294,18 +304,11 @@ def reyd_rem_index(ctx: Context, k: int, s: int, i: int, level: int) -> tuple[in
 
 
 def reyd_form(ctx: Context, k: int, shape: RevisedEYD, s: int) -> LinearForm:
-    terms: dict[int, int] = {}
-    for i, level, color, double in shape.admissible_points(ctx):
-        idx, _ = reyd_adm_index(ctx, k, s, i, level)
-        if idx >= 1:
-            pos = ctx.pos_of(idx, color)
-            terms[pos] = terms.get(pos, 0) + (2 if double else 1)
-    for i, level, color, double in shape.removable_points(ctx):
-        idx, _ = reyd_rem_index(ctx, k, s, i, level)
-        if idx >= 1:
-            pos = ctx.pos_of(idx, color)
-            terms[pos] = terms.get(pos, 0) - (2 if double else 1)
-    return LinearForm(0, terms)
+    adm = [(reyd_adm_index(ctx, k, s, i, level)[0], color, 2 if double else 1)
+           for i, level, color, double in shape.admissible_points(ctx)]
+    rem = [(reyd_rem_index(ctx, k, s, i, level)[0], color, -2 if double else -1)
+           for i, level, color, double in shape.removable_points(ctx)]
+    return _form(ctx, adm + rem)
 
 
 # --------------------------------------------------------------------------------
@@ -504,18 +507,11 @@ class YoungWall:
 
 
 def wall_form(ctx: Context, k: int, wall: YoungWall, s: int) -> LinearForm:
-    terms: dict[int, int] = {}
-    for i, band, color, double in wall.admissible_slots(ctx):
-        idx = s + ctx.wall_shift(k, band) + i
-        if idx >= 1:
-            pos = ctx.pos_of(idx, color)
-            terms[pos] = terms.get(pos, 0) + (2 if double else 1)
-    for i, band, color, double in wall.removable_blocks(ctx):
-        idx = s + ctx.wall_shift(k, band) + i + 1
-        if idx >= 1:
-            pos = ctx.pos_of(idx, color)
-            terms[pos] = terms.get(pos, 0) - (2 if double else 1)
-    return LinearForm(0, terms)
+    adm = [(s + ctx.wall_shift(k, band) + i, color, 2 if double else 1)
+           for i, band, color, double in wall.admissible_slots(ctx)]
+    rem = [(s + ctx.wall_shift(k, band) + i + 1, color, -2 if double else -1)
+           for i, band, color, double in wall.removable_blocks(ctx)]
+    return _form(ctx, adm + rem)
 
 
 # --------------------------------------------------------------------------------
@@ -570,11 +566,11 @@ _SHAPE_CACHE: dict[tuple, tuple] = {}
 
 def enumerate_shapes(ctx: Context, k: int, s: int, bound: int):
     """BFS over single additions from the ground shape, quotiented by form:
-    returns one representative shape per distinct form at offset ``s`` whose
+    expands one representative shape per distinct form at offset ``s`` whose
     positions stay inside the bound.
 
-    Returns (shapes set, converged flag).  The ground shape is the
-    representative of its own form.  Children are pruned by the position
+    Returns (frozenset of the distinct forms, converged flag); the ground
+    shape's form is always among them.  Children are pruned by the position
     reach of their own form, so the traversal terminates; the margin built
     into callers' bounds is validated by the closure-equality checks.
 
@@ -589,8 +585,7 @@ def enumerate_shapes(ctx: Context, k: int, s: int, bound: int):
     form can have different children.  That the representatives still reach
     every form of the full shape BFS is checked, not proven: against the
     full BFS over the acceptance grid in the tests, and against the
-    rewriting closures by the acceptance gate.  Callers use only the forms
-    of the returned shapes.
+    rewriting closures by the acceptance gate.
 
     The node cap counts distinct forms.  Only converged results are cached;
     a converged result does not depend on the cap.
@@ -601,22 +596,22 @@ def enumerate_shapes(ctx: Context, k: int, s: int, bound: int):
         return cached
     cap = node_cap()
     ground = ground_shape(ctx, k)
-    reps = {shape_form(ctx, k, ground, s): ground}
+    forms = {shape_form(ctx, k, ground, s)}
     queue = deque([ground])
     converged = True
     while queue:
         shape = queue.popleft()
         for child in shape_children(ctx, shape):
             form = shape_form(ctx, k, child, s)
-            if form in reps or form.max_pos() > bound:
+            if form in forms or form.max_pos() > bound:
                 continue
-            if len(reps) >= cap:
+            if len(forms) >= cap:
                 converged = False
                 queue.clear()
                 break
-            reps[form] = child
+            forms.add(form)
             queue.append(child)
-    result = (frozenset(reps.values()), converged)
+    result = (frozenset(forms), converged)
     if converged:
         _SHAPE_CACHE[key] = result
     return result
@@ -634,14 +629,7 @@ def _ladder(ctx: Context, hi_idx, hi_color, lo_idx, lo_color) -> LinearForm:
             hi_coeff = 2
         elif lo_color in ctx.specials:
             lo_coeff = 2
-    terms: dict[int, int] = {}
-    if hi_idx >= 1:
-        pos = ctx.pos_of(hi_idx, hi_color)
-        terms[pos] = terms.get(pos, 0) + hi_coeff
-    if lo_idx >= 1:
-        pos = ctx.pos_of(lo_idx, lo_color)
-        terms[pos] = terms.get(pos, 0) - lo_coeff
-    return LinearForm(0, terms)
+    return _form(ctx, ((hi_idx, hi_color, hi_coeff), (lo_idx, lo_color, -lo_coeff)))
 
 
 def right_ladder(ctx: Context, k: int, r: int) -> LinearForm:
@@ -722,16 +710,11 @@ def comb_lambda(ctx: Context, lam: dict[int, int], k: int, window: int):
     if case in ("left", "right"):
         fam = _ladder_family(ctx, k, window, case)
         return frozenset(LinearForm(const) + f for f in fam), True
-    shapes, converged = enumerate_shapes(ctx, k, 0, window + 2 * ctx.n)
-    ground = ground_shape(ctx, k)
-    out = set()
-    for shape in shapes:
-        if shape == ground:
-            continue
-        form = shape_form(ctx, k, shape, 0)
-        if form.max_pos() <= window:
-            out.add(LinearForm(const) + form)
-    return frozenset(out), converged
+    forms, converged = enumerate_shapes(ctx, k, 0, window + 2 * ctx.period)
+    # at offset 0 every point of the ground shape lies at occurrence index
+    # below 1, so its form is the zero form; no other shape has that form
+    return frozenset(LinearForm(const) + f for f in forms
+                     if f != LinearForm.ZERO and f.max_pos() <= window), converged
 
 
 def comb_infinity(ctx: Context, window: int):
@@ -743,10 +726,9 @@ def comb_infinity(ctx: Context, window: int):
     out = set()
     converged = True
     for k in ctx.colors():
-        shapes, ok = enumerate_shapes(ctx, k, 1, window + 2 * ctx.n)
+        forms, ok = enumerate_shapes(ctx, k, 1, window + 2 * ctx.period)
         converged = converged and ok
-        for shape in shapes:
-            base = shape_form(ctx, k, shape, 1)
+        for base in forms:
             delta = 0
             while True:
                 form = base.shift_periods(ctx.n, delta)

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior (in-process, plus one subprocess run)."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -198,6 +199,59 @@ def test_crosscheck_with_weight_and_window(tmp_path, capsys):
     assert report["matched"] is True
     assert report["lambda"] == {"1": 1}
     assert report["window"] == 7
+
+
+# ----------------------------------------------------------------------------------
+# golden gen-ineq output
+# ----------------------------------------------------------------------------------
+
+# sha256 of the gen-ineq JSON at window 4 for each acceptance-grid word: the
+# limit modes without a weight, the weight modes at lambda = omega_1.  A
+# refactor must keep this output byte for byte; a change that means to alter
+# it re-records the digests and says why.
+GEN_INEQ_DIGESTS = {
+    ("A1", "213", "sprime"): "3b40890b74ef2c906b0e7d7cdc5a99115a250c2cefb3d5b93590ef1e5f90db78",
+    ("A1", "213", "comb-limit"): "e44eab351838c768c729b9c51ba9dd52493a10301e69415b7cfeb3a9987984a9",
+    ("A1", "213", "shat"): "6157bb370b0def17645bbd37caa020ac8e20e82aab5296a36c9494514b9399e0",
+    ("A1", "213", "comb"): "e559ee8d97dee1070586ada412557252dcbfc68adf2b163abeb98221c5a2ac74",
+    ("A1", "123", "sprime"): "696bac93da559901909677805914e4d59a6a6504ce7568595c5a0dedceca0afa",
+    ("A1", "123", "comb-limit"): "33d90c060b34f47c02f9824f5bf234ebf037a63f856d478b916d7630bd273f32",
+    ("A1", "123", "shat"): "0131140b48cc87f33ae687e9e7ab8b2d7f7072eab4409295c4e2b1e4a5646f36",
+    ("A1", "123", "comb"): "2f2a8a77c6881dfcc8e862d2fe8abdc49a403bb7d25dfa9288cc8eefc0e7989c",
+    ("A2", "213", "sprime"): "7a95e73053188deceb65ede6c7ce977d9ce24676ce6ef3691d036e1af878a7db",
+    ("A2", "213", "comb-limit"): "cc58fb9536364c5516d2db53dbecadf504ff8c39d822db021bbf5d3d4ab1d148",
+    ("A2", "213", "shat"): "6627af59d2e0925797ff5e1a303c160bd5f80661800298315f9fd1a09b94cb65",
+    ("A2", "213", "comb"): "8389b11a585a83a8d202cf90cf00f06732237fb8d72e60020e3677f950393065",
+    ("A2", "321", "sprime"): "c15b8c03c98492444c02a41b2d69b97a3f58e2e2d5902d61489d89fe2162994d",
+    ("A2", "321", "comb-limit"): "08a827dad7acaf521acf427901ee9ec7477a77c9b8c085199de490ba262ff419",
+    ("A2", "321", "shat"): "5397634dfa4ea54df9c530f2cbc2fe409979f2fb16451850503453639a7fe876",
+    ("A2", "321", "comb"): "749a69eecdd65ce1d0cff458987c70c7b6c1087a914e81856b8dfe323b4bd8da",
+    ("C1", "123", "sprime"): "4746ab6c1e594e4d6fc9e7f4fbe3b24a95c279b8e28a5cbb2ceccbae23ad6bf8",
+    ("C1", "123", "comb-limit"): "585beecfefd26e3026d6949f41265898cd3c9090676f1e5b683c9449ec40aa53",
+    ("C1", "123", "shat"): "6e77192cd6e1b406c010a06f07a54603f507e7a268bfbe978e9cf9fcd76cc94c",
+    ("C1", "123", "comb"): "2a5010229a3fd250239f0edab4219e2fc6f9066568a2cb54156a6939b7da1090",
+    ("C1", "321", "sprime"): "afe0c58925e87037bd7374f7f48e7d27a231cb4984ce8359a1b6af5cb2eefb29",
+    ("C1", "321", "comb-limit"): "c3c12533662427d6c36d27e48dbcaae7934029769f89e98a42cf7da3f295adab",
+    ("C1", "321", "shat"): "ebd7c2375be85ed5172a18167e66ee92885822df454215f9ce0c13a7794c32c5",
+    ("C1", "321", "comb"): "d5539fc243cc5a386880f77c351f4efa5ffefae3aa2f9a6726e0b1d8d30674dd",
+    ("D2", "123", "sprime"): "081f69c1e4b2f2a394f2cdd38d22f82e5f5bd2b5945cfec843441ea0a02b8d7c",
+    ("D2", "123", "comb-limit"): "6da04fd5a17cf36531c3f2ec346622cb648b8af18ed6f0e41cd5bbc63929bfe0",
+    ("D2", "123", "shat"): "99fda93d9c13709c931e23a8a5b3cd61f99c8b7e9606f81db2c0cfcabc6fca1c",
+    ("D2", "123", "comb"): "1cbadfba55ccb92441ab8a6a74acc16e111ef2dcf98cc537e011eee7be142f35",
+    ("D2", "213", "sprime"): "e8865f3e584949528675315248f39bbc101dca50bbc12e091c6e45bf778d8c04",
+    ("D2", "213", "comb-limit"): "a78796f138de3fedebb61aea0dc521d845bd01606c520c7cea2f67c2655cac42",
+    ("D2", "213", "shat"): "69fffda7be2a8bef33e46dcad8788ac684f2876d7c9b078bf100e801f1c82730",
+    ("D2", "213", "comb"): "5b050cfe025b7af2ffbf15e00e11834fc5b67b156bf9485daf13c5d0b2b5ac3d",
+}
+
+
+def test_gen_ineq_matches_golden_digests(tmp_path, capsys):
+    for (family, word, mode), want in GEN_INEQ_DIGESTS.items():
+        lam = {1: 1} if mode in ("shat", "comb") else None
+        cfg = write_cfg(tmp_path, family=family, word=tuple(map(int, word)), lam=lam)
+        assert main(["--config", cfg, "gen-ineq", "--mode", mode, "--window", "4"]) == 0
+        got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert got == want, (family, word, mode)
 
 
 # ----------------------------------------------------------------------------------

@@ -309,6 +309,23 @@ def test_membership_family_limit_crystal():
     assert not membership(forms, lone)[0]
 
 
+@pytest.mark.parametrize("family,word", GRID8)
+def test_membership_family_shares_the_entry_points_margin(family, word):
+    # m margin periods past the support is the default two past a window
+    # m - 2 periods beyond the support
+    ctx = make_context(family, word)
+    support = 6
+    for m in (1, 2):
+        window = support + (m - 2) * ctx.period
+        for lam in (None, W1):
+            want = set(limit_inequalities(ctx, window).forms)
+            if lam is not None:
+                for k in ctx.colors():
+                    want |= boundary_closure_for_color(ctx, lam, k, window).forms
+            got = membership_family(ctx, lam, support, m)
+            assert got == (frozenset(want), True), (m, lam)
+
+
 @pytest.mark.parametrize("family", ["A1", "A2", "C1", "D2"])
 @pytest.mark.parametrize("lam", [None, W1])
 def test_membership_witness_is_first_violated_in_sorted_order(family, lam):

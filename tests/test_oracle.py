@@ -6,6 +6,7 @@ import pytest
 
 from crystal_poly import (
     CrystalOps,
+    LinearForm,
     ZVector,
     crosscheck_membership,
     epsilon_star_forms,
@@ -17,7 +18,7 @@ from crystal_poly import (
     reaches_origin,
     weight_graded_counts,
 )
-from crystal_poly.oracle import _candidate_count, _sum_bounded_tuples
+from crystal_poly.oracle import _candidate_count, _compile_matrix, _sum_bounded_tuples
 
 from util import make_context
 
@@ -145,6 +146,16 @@ def test_sum_bounded_tuples_count():
     assert len(tuples) == len(set(tuples)) == _candidate_count(4, 2) == 15
     assert all(sum(t) <= 2 for t in tuples)
     assert _candidate_count(6, 2) == 28
+
+
+def test_compile_matrix_keeps_the_strongest_constant_per_row():
+    # both restrict to -x1 on the support; the larger constant is the weaker row
+    weak = LinearForm(3, {1: -1, 5: 2})
+    strong = LinearForm(1, {1: -1})
+    for forms in ([weak, strong], [strong, weak]):
+        coeffs, consts = _compile_matrix(forms, 3)
+        assert coeffs.tolist() == [[-1, 0, 0]]
+        assert consts.tolist() == [1]
 
 
 def test_crosscheck_membership_fundamental():
