@@ -123,11 +123,7 @@ def cmd_epsilon_star(ctx: Context, args) -> int:
         if args.method in ("forms", "both"):
             entry["forms"] = epsilon_star_forms(ctx, x, k)
         if args.method in ("oracle", "both"):
-            try:
-                entry["oracle"] = epsilon_star_oracle(ctx, x, k)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
+            entry["oracle"] = epsilon_star_oracle(ctx, x, k)
         if len(entry) == 2 and entry["forms"] != entry["oracle"]:
             disagree = True
         lines.append(f"k={k}: " + " ".join(f"{m}={v}" for m, v in entry.items()))
@@ -186,10 +182,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = _load_config(args.config)
-    ctx = Context.from_config(cfg)
-    lam = weight_from_config(cfg) if "lambda" in cfg else None
     try:
+        cfg = _load_config(args.config)
+        ctx = Context.from_config(cfg)
+        lam = weight_from_config(cfg) if "lambda" in cfg else None
+        if lam and not set(lam) <= set(ctx.colors()):
+            raise ValueError(f"lambda colors {sorted(lam)} must lie in 1..{ctx.n}")
         if args.command == "gen-ineq":
             return cmd_gen_ineq(ctx, lam or {}, args)
         if args.command == "check":
@@ -199,7 +197,7 @@ def main(argv=None) -> int:
         if args.command == "epsilon-star":
             return cmd_epsilon_star(ctx, args)
         return cmd_crosscheck(ctx, lam, args)
-    except RuntimeError as exc:
+    except (RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -49,7 +49,10 @@ class ZVector:
     @staticmethod
     def parse(text: str, ctx: Context) -> "ZVector":
         """Parse ``[a1,a2,...]`` (position order) or ``{(s,k): v, ...}``."""
-        obj = ast.literal_eval(text.strip())
+        try:
+            obj = ast.literal_eval(text.strip())
+        except (ValueError, SyntaxError) as exc:
+            raise ValueError(f"cannot parse vector from {text!r}") from exc
         if isinstance(obj, (list, tuple)):
             return ZVector.from_list(obj)
         if isinstance(obj, dict):

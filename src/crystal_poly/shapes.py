@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .cartan import Context
+from .cartan import Context, wall_color
 from .inequalities import LinearForm, node_cap
 
 
@@ -56,7 +56,7 @@ class ExtendedYoungDiagram:
             if ys[-1] > charge:
                 raise ValueError("profile exceeds charge")
             ys = ys[:-1]
-        if any(a > b for a, b in zip(ys, ys[1:])) or (ys and ys[-1] > charge):
+        if any(a > b for a, b in zip(ys, ys[1:])):
             raise ValueError("profile must be nondecreasing")
         self.charge = charge
         self.ys = ys
@@ -105,15 +105,6 @@ class ExtendedYoungDiagram:
                 out.append((i, ExtendedYoungDiagram(self.charge, ys)))
         return out
 
-    def render(self) -> str:
-        if not self.ys:
-            return "(ground)"
-        lo = min(self.ys)
-        rows = []
-        for level in range(self.charge - 1, lo - 1, -1):
-            rows.append("".join("#" if v <= level else " " for v in self.ys))
-        return "\n".join(rows)
-
     def __eq__(self, other):
         return (
             isinstance(other, ExtendedYoungDiagram)
@@ -146,7 +137,13 @@ def eyd_form(ctx: Context, k: int, diagram: ExtendedYoungDiagram, s: int) -> Lin
 
 class RevisedEYD:
     """Two-sided profile stored as deviations from the ground profile
-    ``charge + min(t, 0)``; always weakly below ground."""
+    ``charge + min(t, 0)``; always strictly below ground where stored.
+
+    One legality rule governs every move: entry ``t`` may sit at level ``v``
+    when ``v`` is at most the ground level at ``t`` and the steps to both
+    neighbours are permitted (:meth:`_fits`).  Decrements, increments and
+    both point lists apply it and nothing else.
+    """
 
     __slots__ = ("charge", "devs")
 
@@ -156,8 +153,8 @@ class RevisedEYD:
         self.charge = charge
         self.devs = tuple(sorted((int(t), int(y)) for t, y in devs))
         for t, y in self.devs:
-            if y == self.ground(t):
-                raise ValueError(f"entry at {t} equals the ground profile")
+            if y >= self.ground(t):
+                raise ValueError(f"entry at {t} is not below the ground profile")
 
     @classmethod
     def ground_shape(cls, charge: int) -> "RevisedEYD":
@@ -175,13 +172,8 @@ class RevisedEYD:
     def boxes(self) -> int:
         return sum(self.ground(t) - v for t, v in self.devs)
 
-    def _dev_span(self):
-        if not self.devs:
-            return 0, 0
-        return self.devs[0][0], self.devs[-1][0]
-
     def _scan(self):
-        lo, hi = self._dev_span()
+        lo, hi = (self.devs[0][0], self.devs[-1][0]) if self.devs else (0, 0)
         return range(min(lo - 3, -3), max(hi + 3, 3) + 1)
 
     def _step_ok(self, ctx: Context, t: int, a: int, b: int) -> bool:
@@ -196,6 +188,31 @@ class RevisedEYD:
             return b <= a + 1
         return True  # a turning residue at t=0 (only D2 charge n) is unconstrained
 
+    def _fits(self, ctx: Context, i: int, v: int) -> bool:
+        """Whether entry i may sit at level v, its neighbours unchanged."""
+        return (
+            v <= self.ground(i)
+            and self._step_ok(ctx, i - 1, self.y(i - 1), v)
+            and self._step_ok(ctx, i, v, self.y(i + 1))
+        )
+
+    def _double(self, ctx: Context, j: int, restored: bool) -> bool:
+        """Whether the point at entry j counts twice.
+
+        A lowered point (step up on its left, flat on its right) doubles at a
+        low residue (0, and n for D2) for j > 0 and at an up residue (one above
+        a low one) for j < 0; a restored point (flat on its left, step up on
+        its right) does the reverse.
+        """
+        if j == 0 or ctx.fold(j + self.charge) not in ctx.specials:
+            return False
+        a, b, c = self.y(j - 1), self.y(j), self.y(j + 1)
+        if not (a == b < c if restored else a < b == c):
+            return False
+        lows = (0,) if ctx.machinery == "A2" else (0, ctx.n)
+        r = j + self.charge if (j > 0) != restored else j + self.charge - 1
+        return r % ctx.fold_period in lows
+
     def _with(self, t: int, v: int) -> "RevisedEYD":
         devs = {u: w for u, w in self.devs}
         if v == self.ground(t):
@@ -206,74 +223,23 @@ class RevisedEYD:
 
     def dec(self, ctx: Context, i: int) -> "RevisedEYD | None":
         v = self.y(i) - 1
-        if not self._step_ok(ctx, i - 1, self.y(i - 1), v):
-            return None
-        if not self._step_ok(ctx, i, v, self.y(i + 1)):
-            return None
-        return self._with(i, v)
+        return self._with(i, v) if self._fits(ctx, i, v) else None
 
     def inc(self, ctx: Context, i: int) -> "RevisedEYD | None":
         v = self.y(i) + 1
-        if v > self.ground(i):  # shortcut; the step rules reject this anyway
-            return None
-        if not self._step_ok(ctx, i - 1, self.y(i - 1), v):
-            return None
-        if not self._step_ok(ctx, i, v, self.y(i + 1)):
-            return None
-        return self._with(i, v)
-
-    def _doubling_residues(self, ctx: Context):
-        return (0,) if ctx.machinery == "A2" else (0, ctx.n)
+        return self._with(i, v) if self._fits(ctx, i, v) else None
 
     def admissible_points(self, ctx: Context):
         """Valid decrements as (index, level, color, double) tuples."""
-        out = []
-        for i in self._scan():
-            if self.dec(ctx, i) is None:
-                continue
-            color = ctx.fold(i + self.charge)
-            double = False
-            if color in ctx.specials and self.y(i - 1) < self.y(i) == self.y(i + 1):
-                r = (i + self.charge) % ctx.fold_period
-                lows = self._doubling_residues(ctx)
-                ups = tuple((l + 1) % ctx.fold_period for l in lows)
-                double = (i < 0 and r in ups) or (i > 0 and r in lows)
-            out.append((i, self.y(i), color, double))
-        return out
+        return [(i, self.y(i), ctx.fold(i + self.charge), self._double(ctx, i, False))
+                for i in self._scan() if self._fits(ctx, i, self.y(i) - 1)]
 
     def removable_points(self, ctx: Context):
         """Valid increments at i-1, reported at index i, as (i, level, color,
         double) with level the entry being restored."""
-        out = []
-        for i in self._scan():
-            if self.inc(ctx, i - 1) is None:
-                continue
-            color = ctx.fold(i + self.charge - 1)
-            double = False
-            if color in ctx.specials and self.y(i - 2) == self.y(i - 1) < self.y(i):
-                r = (i + self.charge - 1) % ctx.fold_period
-                lows = self._doubling_residues(ctx)
-                ups = tuple((l + 1) % ctx.fold_period for l in lows)
-                double = (i > 1 and r in ups) or (i < 1 and r in lows)
-            out.append((i, self.y(i - 1), color, double))
-        return out
-
-    def render(self) -> str:
-        lo, hi = self._dev_span()
-        ts = range(lo - 2, hi + 3)
-        levels = [self.y(t) for t in ts] + [self.ground(t) for t in ts]
-        rows = []
-        for level in range(max(levels), min(levels), -1):
-            row = []
-            for t in ts:
-                if self.y(t) < level <= self.ground(t):
-                    row.append("#")
-                elif level <= self.ground(t):
-                    row.append(".")
-                else:
-                    row.append(" ")
-            rows.append("".join(row))
-        return "\n".join(rows) or "(ground)"
+        return [(i, self.y(i - 1), ctx.fold(i + self.charge - 1),
+                 self._double(ctx, i - 1, True))
+                for i in self._scan() if self._fits(ctx, i - 1, self.y(i - 1) + 1)]
 
     def __eq__(self, other):
         return (
@@ -297,10 +263,7 @@ def reyd_adm_index(ctx: Context, k: int, s: int, i: int, level: int) -> tuple[in
 
 
 def reyd_rem_index(ctx: Context, k: int, s: int, i: int, level: int) -> tuple[int, int]:
-    return (
-        s + ctx.shift(k, i + k - 1) + min(i - 1, 0) + k - level,
-        ctx.fold(i + k - 1),
-    )
+    return reyd_adm_index(ctx, k, s, i - 1, level)
 
 
 def reyd_form(ctx: Context, k: int, shape: RevisedEYD, s: int) -> LinearForm:
@@ -320,12 +283,14 @@ _PATTERNS: dict[tuple[str, int, int], "WallPattern"] = {}
 
 class WallPattern:
     """Vertical slot pattern above a ground color: special-color bands carry
-    two half slots, others one unit slot."""
+    two half slots, others one unit slot.  Depends only on the machinery, the
+    rank and the ground color."""
 
     def __init__(self, ctx: Context, charge: int):
         if ctx.machinery not in ("A2", "D2") or charge not in ctx.specials:
             raise ValueError(f"no wall pattern for color {charge} in {ctx.machinery}")
-        self.ctx = ctx
+        self.n = ctx.n
+        self.specials = ctx.specials
         self.charge = charge
         self.slots: list[tuple[int, int, int | None]] = []  # (band, color, half index)
         self.cumhalf = [0]
@@ -333,19 +298,18 @@ class WallPattern:
 
     @staticmethod
     def get(ctx: Context, charge: int) -> "WallPattern":
-        key = (ctx.machinery, ctx.n, charge, ctx.word)
+        key = (ctx.machinery, ctx.n, charge)
         pat = _PATTERNS.get(key)
-        if pat is None or pat.ctx is not ctx:
-            pat = WallPattern(ctx, charge)
-            _PATTERNS[key] = pat
+        if pat is None:
+            pat = _PATTERNS[key] = WallPattern(ctx, charge)
         return pat
 
     def ensure(self, m: int) -> None:
         while len(self.slots) < m:
             band = self._next_band
             self._next_band += 1
-            color = self.ctx.wall_fold(band)
-            if color in self.ctx.specials:
+            color = wall_color(self.n, band)
+            if color in self.specials:
                 self.slots.append((band, color, 0))
                 self.cumhalf.append(self.cumhalf[-1] + 1)
                 self.slots.append((band, color, 1))
@@ -358,17 +322,21 @@ class WallPattern:
         self.ensure(i + 1)
         return self.slots[i]
 
-    def half_height(self, count: int) -> int:
-        self.ensure(count)
-        return self.cumhalf[count]
-
     def is_full(self, count: int) -> bool:
-        return self.half_height(count) % 2 == 0
+        self.ensure(count)
+        return self.cumhalf[count] % 2 == 0
 
 
 class YoungWall:
     """Columns of filled slot counts (>= 1 everywhere; trailing ground columns
-    implied), weakly decreasing, no two full columns of equal height."""
+    implied), weakly decreasing, no two full columns of equal height.
+
+    One legality rule governs every move: column ``i`` may hold ``c`` slots
+    when ``c >= 1``, ``c`` lies weakly between its neighbours, and a full
+    column is not level with a neighbour (:meth:`_fits`).  Single moves
+    change one column by one slot; a pair move fills or empties both halves
+    of a special band at once and applies the same rule at two slots.
+    """
 
     __slots__ = ("charge", "cols")
 
@@ -399,55 +367,28 @@ class YoungWall:
             not (a == b and pat.is_full(a)) for a, b in zip(self.cols, self.cols[1:])
         )
 
+    def _fits(self, pat: WallPattern, i: int, c: int) -> bool:
+        """Whether column i may hold c slots, its neighbours unchanged."""
+        left = self.col(i - 1) if i > 0 else None
+        right = self.col(i + 1)
+        if c < 1 or c < right or (left is not None and c > left):
+            return False
+        return not (pat.is_full(c) and c in (left, right))
+
     def _make(self, i: int, count: int) -> "YoungWall":
-        cols = list(self.cols)
-        while len(cols) <= i:
-            cols.append(1)
+        cols = list(self.cols) + [1] * (i + 1 - len(self.cols))
         cols[i] = count
         return YoungWall(self.charge, cols)
 
     def add(self, ctx: Context, i: int) -> "YoungWall | None":
+        c = self.col(i) + 1
         pat = WallPattern.get(ctx, self.charge)
-        c2 = self.col(i) + 1
-        if i > 0 and self.col(i - 1) < c2:
-            return None
-        if pat.is_full(c2) and i > 0 and self.col(i - 1) == c2:
-            return None
-        return self._make(i, c2)
+        return self._make(i, c) if self._fits(pat, i, c) else None
 
     def remove(self, ctx: Context, i: int) -> "YoungWall | None":
+        c = self.col(i) - 1
         pat = WallPattern.get(ctx, self.charge)
-        c2 = self.col(i) - 1
-        if c2 < 1 or c2 < self.col(i + 1):
-            return None
-        if pat.is_full(c2) and self.col(i + 1) == c2:
-            return None
-        return self._make(i, c2)
-
-    def _pair_add_ok(self, pat: WallPattern, i: int) -> bool:
-        band, _, half = pat.slot(self.col(i))
-        if half != 0:
-            return False
-        c2 = self.col(i) + 2
-        if i > 0 and self.col(i - 1) < c2:
-            return False
-        if pat.is_full(c2) and i > 0 and self.col(i - 1) == c2:
-            return False
-        return True
-
-    def _pair_remove_ok(self, pat: WallPattern, i: int) -> bool:
-        top = self.col(i) - 1
-        if top < 1:
-            return False
-        band, _, half = pat.slot(top)
-        if half != 1:
-            return False
-        c2 = self.col(i) - 2
-        if c2 < 1 or c2 < self.col(i + 1):
-            return False
-        if pat.is_full(c2) and self.col(i + 1) == c2:
-            return False
-        return True
+        return self._make(i, c) if self._fits(pat, i, c) else None
 
     def admissible_slots(self, ctx: Context):
         """(column, band, color, double) for each place a block may enter.
@@ -458,39 +399,26 @@ class YoungWall:
         pat = WallPattern.get(ctx, self.charge)
         out = []
         for i in range(len(self.cols) + 1):
-            band, color, _half = pat.slot(self.col(i))
-            if self._pair_add_ok(pat, i):
+            c = self.col(i)
+            band, color, half = pat.slot(c)
+            if half == 0 and self._fits(pat, i, c + 2):
                 out.append((i, band, color, True))
-            elif self.add(ctx, i) is not None:
+            elif self._fits(pat, i, c + 1):
                 out.append((i, band, color, False))
         return out
 
     def removable_blocks(self, ctx: Context):
+        """(column, band, color, double) for each top block that may leave;
+        every stored column holds at least two slots, so each has a top block."""
         pat = WallPattern.get(ctx, self.charge)
         out = []
-        for i in range(len(self.cols)):
-            top = self.col(i) - 1
-            if top < 1:
-                continue
-            band, color, _half = pat.slot(top)
-            if self._pair_remove_ok(pat, i):
+        for i, c in enumerate(self.cols):
+            band, color, half = pat.slot(c - 1)
+            if half == 1 and self._fits(pat, i, c - 2):
                 out.append((i, band, color, True))
-            elif self.remove(ctx, i) is not None:
+            elif self._fits(pat, i, c - 1):
                 out.append((i, band, color, False))
         return out
-
-    def render(self, ctx: Context) -> str:
-        pat = WallPattern.get(ctx, self.charge)
-        if not self.cols:
-            return "(ground)"
-        height = self.cols[0]
-        rows = []
-        for level in range(height - 1, -1, -1):
-            _, color, half = pat.slot(level)
-            mark = str(color) if half is None else f"{color}'"
-            cells = "".join("#" if self.col(i) > level else " " for i in range(len(self.cols)))
-            rows.append(f"{mark:>3} |{cells}")
-        return "\n".join(rows)
 
     def __eq__(self, other):
         return (
@@ -547,18 +475,9 @@ def shape_children(ctx: Context, shape):
     if isinstance(shape, ExtendedYoungDiagram):
         return [t for _, t in shape.additions()]
     if isinstance(shape, RevisedEYD):
-        out = []
-        for i, _, _, _ in shape.admissible_points(ctx):
-            t = shape.dec(ctx, i)
-            if t is not None:
-                out.append(t)
-        return out
-    out = []
-    for i in range(len(shape.cols) + 1):
-        t = shape.add(ctx, i)
-        if t is not None:
-            out.append(t)
-    return out
+        return [shape.dec(ctx, i) for i, _, _, _ in shape.admissible_points(ctx)]
+    kids = (shape.add(ctx, i) for i in range(len(shape.cols) + 1))
+    return [t for t in kids if t is not None]
 
 
 _SHAPE_CACHE: dict[tuple, tuple] = {}

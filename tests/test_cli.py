@@ -5,6 +5,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from crystal_poly.cli import main
 
 
@@ -279,3 +281,26 @@ def test_cli_subprocess_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[:2] == ["depth 0: 1", "depth 1: 3"]
+
+
+# ----------------------------------------------------------------------------------
+# malformed input exits 2
+# ----------------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "cfg_kw, argv",
+    [
+        ({"word": (1, 1, 3)}, ["enumerate", "--depth", "1"]),
+        ({}, ["check", "--vector", "abc"]),
+        ({}, ["epsilon-star", "--vector", "[0,1"]),
+        ({"lam": {4: 1}}, ["check", "--vector", "[0,1]"]),
+    ],
+    ids=["bad-word", "vector-name", "vector-syntax", "lambda-color-outside"],
+)
+def test_malformed_input_exits_2(tmp_path, capsys, cfg_kw, argv):
+    cfg = write_cfg(tmp_path, **cfg_kw)
+    assert main(["--config", cfg, *argv]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert captured.out == ""

@@ -1,5 +1,6 @@
 """Diagram/wall combinatorics and the closed-form inequality families."""
 
+import hashlib
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from crystal_poly import shapes
 from crystal_poly.shapes import (
     WallPattern,
     ground_shape,
+    shape_children,
     shape_form,
     shape_kind,
 )
@@ -362,3 +364,59 @@ def test_comb_infinity_matches_rewriting_closure():
     clo = limit_inequalities(ctx, 6)
     assert clo.converged
     assert fam == clo.within(6) - {LinearForm.ZERO}
+
+
+# ----------------------------------------------------------------------------------
+# Golden move digest
+# ----------------------------------------------------------------------------------
+
+# sha256 over every revised-diagram and wall shape of the full BFS at offset 1
+# and bound 4 + 2n, for every non-eyd color of the acceptance grid: the point
+# or slot lists, the children, and every single move from 4 indexes before to
+# 4 past the profile (rejected moves included).  Recorded before the move rules
+# were merged into one legality check per family; a refactor keeps it.
+MOVE_DIGEST = "7d15134d29ff92e75828ad8593cac41553a884401bf81e1122d1428f9b59eef6"
+MOVE_DIGEST_SHAPES = 1344
+
+
+def _move_record(ctx, shape):
+    if isinstance(shape, RevisedEYD):
+        lo, hi = (shape.devs[0][0], shape.devs[-1][0]) if shape.devs else (0, 0)
+        idxs = range(lo - 4, hi + 5)
+        lists = (shape.admissible_points(ctx), shape.removable_points(ctx))
+        moves = [(shape.dec(ctx, i), shape.inc(ctx, i)) for i in idxs]
+    else:
+        idxs = range(len(shape.cols) + 5)
+        lists = (shape.admissible_slots(ctx), shape.removable_blocks(ctx))
+        moves = [(shape.add(ctx, i), shape.remove(ctx, i)) for i in idxs]
+    return repr((shape, lists, shape_children(ctx, shape), moves))
+
+
+def test_shape_moves_match_golden_digest():
+    h = hashlib.sha256()
+    count = 0
+    for fam, word in GRID8:
+        ctx = Context(fam, 3, word)
+        for k in ctx.colors():
+            if shape_kind(ctx, k) == "eyd":
+                continue
+            for shape in sorted(full_shape_bfs(ctx, k, 1, 4 + 2 * ctx.n), key=repr):
+                h.update(_move_record(ctx, shape).encode())
+                count += 1
+    assert count == MOVE_DIGEST_SHAPES
+    assert h.hexdigest() == MOVE_DIGEST
+
+
+def test_reyd_rejects_an_entry_above_ground():
+    with pytest.raises(ValueError):
+        RevisedEYD(3, {0: 5})
+    with pytest.raises(ValueError):
+        RevisedEYD(3, {-2: 2})  # ground at -2 is 1
+    assert RevisedEYD(3, {-2: 0}).boxes() == 1
+
+
+def test_wall_pattern_cached_by_value():
+    a = WallPattern.get(Context("A2", 3, (2, 1, 3)), 1)
+    assert WallPattern.get(Context("A2", 3, (2, 1, 3)), 1) is a  # equal Contexts
+    assert WallPattern.get(Context("A2", 3, (3, 2, 1)), 1) is a  # another word
+    assert WallPattern.get(Context("C1", 3, (1, 2, 3)), 1) is not a  # other machinery
