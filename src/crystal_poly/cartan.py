@@ -11,10 +11,12 @@ Families are identified by short codes over a common color set ``I = {1..n}``:
 Besides the Cartan matrices this module provides the periodic *folded color
 patterns* used by the diagram/wall combinatorics, the order matrix ``p`` of an
 embedding word, and :class:`Context`, which bundles everything needed by the
-other modules (position arithmetic, memoized shift tables).
+other modules (position arithmetic, periodic shift and wall-slot tables).
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 FAMILIES = ("A1", "C1", "A2", "D2")
 
@@ -178,8 +180,18 @@ class Context:
         self.specials = special_colors(self.machinery, n)
         self.p = p_matrix(self.cartan, self.word)
         self._first = {c: self.word.index(c) + 1 for c in self.word}
-        self._shift: dict[int, dict[int, int]] = {}
-        self._wall_shift: dict[int, dict[int, int]] = {}
+        # Every table below repeats with its pattern's period: one period per
+        # color is built here, and nothing grows later.
+        fp, wp, colors = self.fold_period, 2 * n - 2, self.colors()
+        self._up = {k: self._steps(self.fold, k, 1, fp) for k in colors}
+        self._down = {k: self._steps(self.fold, k, -1, fp) for k in colors}
+        self._wall_up = {k: self._steps(self.wall_fold, k, 1, wp) for k in colors}
+        halves = {c: (0, 1) if c in self.specials else (None,) for c in colors}
+        self._wall_slots = {
+            c: tuple((b, self.wall_fold(b), h) for b in range(c, c + wp)
+                     for h in halves[self.wall_fold(b)])
+            for c in self.specials
+        }
 
     # ---- position arithmetic -------------------------------------------------
     def colors(self):
@@ -213,40 +225,42 @@ class Context:
         return wall_color(self.n, t)
 
     # ---- shift tables ----------------------------------------------------------
-    def shift(self, k: int, t: int) -> int:
-        """Occurrence shift along the folded pattern, anchored at ``t = k``.
+    def _steps(self, color_at, k: int, d: int, period: int) -> tuple[int, ...]:
+        """Running sums of the order matrix over the first 0..period steps of
+        the pattern ``color_at`` away from k in direction d (+1 or -1)."""
+        return tuple(accumulate(
+            (self.p.get((color_at(k + d * j), color_at(k + d * (j - 1))), 0)
+             for j in range(1, period + 1)), initial=0))
 
-        Accumulates the order matrix over pattern steps away from k, in both
-        directions.  Nonnegative; each step adds 0 or 1.
+    def shift(self, k: int, t: int) -> int:
+        """Occurrence shift along the folded pattern, anchored at ``t = k``:
+        the sum of ``p[fold(u), fold(u - 1)]`` over ``k < u <= t``, or of
+        ``p[fold(u), fold(u + 1)]`` over ``t <= u < k``.  Nonnegative; each
+        step adds 0 or 1.
         """
-        memo = self._shift.setdefault(k, {k: 0})
-        if t not in memo:
-            if t > k:
-                top = max(m for m in memo if m >= k)
-                val = memo[top]
-                for u in range(top + 1, t + 1):
-                    val += self.p.get((self.fold(u), self.fold(u - 1)), 0)
-                    memo[u] = val
-            else:
-                bot = min(m for m in memo if m <= k)
-                val = memo[bot]
-                for u in range(bot - 1, t - 1, -1):
-                    val += self.p.get((self.fold(u), self.fold(u + 1)), 0)
-                    memo[u] = val
-        return memo[t]
+        steps = self._up[k] if t >= k else self._down[k]
+        q, r = divmod(abs(t - k), self.fold_period)
+        return q * steps[-1] + steps[r]
 
     def wall_shift(self, k: int, t: int) -> int:
-        """Occurrence shift along the wall band pattern; defined for t >= k."""
+        """Occurrence shift along the wall band pattern; defined for t >= k as
+        the sum of ``p[wall_fold(u), wall_fold(u - 1)]`` over ``k < u <= t``."""
         if t < k:
             raise ValueError(f"wall shift undefined below the ground band: {t} < {k}")
-        memo = self._wall_shift.setdefault(k, {k: 0})
-        if t not in memo:
-            top = max(memo)
-            val = memo[top]
-            for u in range(top + 1, t + 1):
-                val += self.p.get((self.wall_fold(u), self.wall_fold(u - 1)), 0)
-                memo[u] = val
-        return memo[t]
+        steps = self._wall_up[k]
+        q, r = divmod(t - k, len(steps) - 1)
+        return q * steps[-1] + steps[r]
+
+    def wall_slot(self, charge: int, i: int) -> tuple[int, int, int | None]:
+        """``(band, color, half)`` of slot i of the wall over the special color
+        ``charge``, bands climbing from the charge: a special band holds two
+        half slots (half 0 below, 1 above), any other band one (half None)."""
+        period = self._wall_slots.get(charge)
+        if period is None:
+            raise ValueError(f"no wall pattern for color {charge} in {self.machinery}")
+        q, r = divmod(i, len(period))
+        band, color, half = period[r]
+        return band + q * (2 * self.n - 2), color, half
 
     # ---- config --------------------------------------------------------------
     @classmethod

@@ -30,8 +30,17 @@ from .shapes import comb_infinity, comb_lambda, weight_family
 
 
 def _load_config(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read config {path}: {exc.strerror}") from exc
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config {path} is not a JSON object")
+    missing = [key for key in ("family", "n", "iota_word") if key not in cfg]
+    if missing:
+        raise ValueError(f"config {path} lacks {', '.join(missing)}")
+    return cfg
 
 
 def _forms_payload(ctx: Context, meta: dict, forms, converged: bool) -> dict:
@@ -188,6 +197,11 @@ def main(argv=None) -> int:
         lam = weight_from_config(cfg) if "lambda" in cfg else None
         if lam and not set(lam) <= set(ctx.colors()):
             raise ValueError(f"lambda colors {sorted(lam)} must lie in 1..{ctx.n}")
+        if getattr(args, "k", None) not in (None, *ctx.colors()):
+            raise ValueError(f"--k {args.k} must lie in 1..{ctx.n}")
+        for name in ("depth", "window"):
+            if (getattr(args, name, None) or 0) < 0:
+                raise ValueError(f"--{name} must be nonnegative")
         if args.command == "gen-ineq":
             return cmd_gen_ineq(ctx, lam or {}, args)
         if args.command == "check":

@@ -9,12 +9,16 @@ two sides is meaningful evidence.
 from __future__ import annotations
 
 import time
+from math import comb
 
 import numpy as np
 
 from .cartan import Context
 from .crystal import CrystalOps, ZVector
 from .inequalities import membership_family
+
+# Most candidates the cross-check scans; its sweep holds candidates x 2048 int64s.
+MAX_CANDIDATES = 150_000
 
 # --------------------------------------------------------------------------------
 # closure enumeration
@@ -59,34 +63,29 @@ def weight_graded_counts(ops: CrystalOps, depth: int) -> dict[tuple[int, ...], i
 # --------------------------------------------------------------------------------
 
 
-def reaches_origin(ops: CrystalOps, x: ZVector, memo: dict | None = None) -> bool:
+def reaches_origin(ops: CrystalOps, x: ZVector) -> bool:
     """Whether repeated raising brings x back to the origin.
 
     Raising and lowering are mutual partial inverses and raising strictly
     shrinks the entry sum, so this holds exactly when x lies in the image of
-    the lowering closure of the origin.  Vectors with a negative entry can
-    never reach the origin and are pruned.
+    the lowering closure of the origin.  Greedy raising decides it: members
+    are closed under raising and the origin is the only member that no
+    raising moves, so from a member any raising path ends at the origin,
+    while a non-member reaches it by no path at all.  A vector with a
+    negative entry is no member.
     """
-    if memo is None:
-        memo = {}
     colors = ops.ctx.colors()
-
-    def rec(v: ZVector) -> bool:
-        if v.is_zero():
-            return True
-        hit = memo.get(v)
-        if hit is not None:
-            return hit
-        ok = False
+    while not x.is_zero():
+        if not x.nonnegative():
+            return False
         for k in colors:
-            w = ops.apply_e(v, k)
-            if w is not None and w.nonnegative() and rec(w):
-                ok = True
+            y = ops.apply_e(x, k)
+            if y is not None:
+                x = y
                 break
-        memo[v] = ok
-        return ok
-
-    return rec(x)
+        else:
+            return False
+    return True
 
 
 def epsilon_star_oracle(ctx: Context, x: ZVector, k: int) -> int:
@@ -123,23 +122,6 @@ def random_reachable(ops: CrystalOps, rng, depth: int) -> ZVector:
 # --------------------------------------------------------------------------------
 
 
-def _sum_bounded_tuples(nvars: int, total: int):
-    """All nonnegative integer tuples of length ``nvars`` with sum <= total."""
-    if nvars == 0:
-        yield ()
-        return
-
-    def rec(prefix: tuple, remaining: int, slots: int):
-        if slots == 1:
-            for v in range(remaining + 1):
-                yield prefix + (v,)
-            return
-        for v in range(remaining + 1):
-            yield from rec(prefix + (v,), remaining - v, slots - 1)
-
-    yield from rec((), total, nvars)
-
-
 def _compile_matrix(forms, support: int):
     """Dense coefficient matrix of the forms' restrictions to the support box.
 
@@ -167,16 +149,19 @@ def _compile_matrix(forms, support: int):
     return coeffs, consts
 
 
-_CANDIDATE_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
 def _candidate_matrix(support: int, total: int) -> np.ndarray:
-    key = (support, total)
-    cands = _CANDIDATE_CACHE.get(key)
-    if cands is None:
-        cands = np.array(list(_sum_bounded_tuples(support, total)), dtype=np.int64)
-        _CANDIDATE_CACHE[key] = cands
-    return cands
+    """Every nonnegative integer vector of length ``support`` with entry sum
+    at most ``total``, one per row, in lexicographic order."""
+    rows = np.zeros((1, 0), dtype=np.int64)
+    room = np.array([total], dtype=np.int64)
+    for _ in range(support):
+        # each row splits into one child per value 0..room of the next entry
+        counts = room + 1
+        parent = np.repeat(np.arange(len(room)), counts)
+        value = np.arange(len(parent)) - (np.cumsum(counts) - counts)[parent]
+        rows = np.column_stack((rows[parent], value))
+        room = room[parent] - value
+    return rows
 
 
 def _feasible_tuples(ctx: Context, lam, depth: int, support: int, margin: int):
@@ -213,6 +198,11 @@ def crosscheck_membership(
     support = window if window is not None else depth * ctx.n
     support = max(support, max((x.max_pos() for x in closure), default=1))
     closure_set = {x.to_tuple(support) for x in closure}
+    candidates = comb(support + depth, depth)
+    if candidates > MAX_CANDIDATES:
+        raise RuntimeError(
+            f"crosscheck needs {candidates} candidates (support {support}, "
+            f"depth {depth}), over the limit of {MAX_CANDIDATES}")
 
     margin_used = 1
     window_sensitive = False
@@ -241,7 +231,7 @@ def crosscheck_membership(
         "window": support,
         "margin_periods": margin_used,
         "active_forms": active_forms,
-        "candidates": _candidate_count(support, depth),
+        "candidates": candidates,
         "feasible": len(feasible),
         "closure": len(closure_set),
         "matched": not mismatches,
@@ -250,11 +240,3 @@ def crosscheck_membership(
         "seconds": round(time.perf_counter() - t0, 3),
     }
 
-
-def _candidate_count(nvars: int, total: int) -> int:
-    # C(nvars + total, total): stars and bars, sums 0..total
-    num = den = 1
-    for i in range(1, total + 1):
-        num *= nvars + i
-        den *= i
-    return num // den

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .cartan import Context, wall_color
+from .cartan import Context
 from .inequalities import LinearForm, node_cap
 
 
@@ -278,60 +278,11 @@ def reyd_form(ctx: Context, k: int, shape: RevisedEYD, s: int) -> LinearForm:
 # Young walls
 # --------------------------------------------------------------------------------
 
-_PATTERNS: dict[tuple[str, int, int], "WallPattern"] = {}
-
-
-class WallPattern:
-    """Vertical slot pattern above a ground color: special-color bands carry
-    two half slots, others one unit slot.  Depends only on the machinery, the
-    rank and the ground color."""
-
-    def __init__(self, ctx: Context, charge: int):
-        if ctx.machinery not in ("A2", "D2") or charge not in ctx.specials:
-            raise ValueError(f"no wall pattern for color {charge} in {ctx.machinery}")
-        self.n = ctx.n
-        self.specials = ctx.specials
-        self.charge = charge
-        self.slots: list[tuple[int, int, int | None]] = []  # (band, color, half index)
-        self.cumhalf = [0]
-        self._next_band = charge
-
-    @staticmethod
-    def get(ctx: Context, charge: int) -> "WallPattern":
-        key = (ctx.machinery, ctx.n, charge)
-        pat = _PATTERNS.get(key)
-        if pat is None:
-            pat = _PATTERNS[key] = WallPattern(ctx, charge)
-        return pat
-
-    def ensure(self, m: int) -> None:
-        while len(self.slots) < m:
-            band = self._next_band
-            self._next_band += 1
-            color = wall_color(self.n, band)
-            if color in self.specials:
-                self.slots.append((band, color, 0))
-                self.cumhalf.append(self.cumhalf[-1] + 1)
-                self.slots.append((band, color, 1))
-                self.cumhalf.append(self.cumhalf[-1] + 1)
-            else:
-                self.slots.append((band, color, None))
-                self.cumhalf.append(self.cumhalf[-1] + 2)
-
-    def slot(self, i: int):
-        self.ensure(i + 1)
-        return self.slots[i]
-
-    def is_full(self, count: int) -> bool:
-        self.ensure(count)
-        return self.cumhalf[count] % 2 == 0
-
-
 class YoungWall:
     """Columns of filled slot counts (>= 1 everywhere; trailing ground columns
     implied), weakly decreasing, no two full columns of equal height.
 
-    One legality rule governs every move: column ``i`` may hold ``c`` slots
+    One legality rule governs every move: column ``i >= 0`` may hold ``c`` slots
     when ``c >= 1``, ``c`` lies weakly between its neighbours, and a full
     column is not level with a neighbour (:meth:`_fits`).  Single moves
     change one column by one slot; a pair move fills or empties both halves
@@ -361,19 +312,21 @@ class YoungWall:
     def blocks(self) -> int:
         return sum(c - 1 for c in self.cols)
 
-    def is_proper(self, ctx: Context) -> bool:
-        pat = WallPattern.get(ctx, self.charge)
-        return all(
-            not (a == b and pat.is_full(a)) for a, b in zip(self.cols, self.cols[1:])
-        )
+    def _full(self, ctx: Context, c: int) -> bool:
+        """Whether c slots end on a whole band: slot c - 1 is no lower half."""
+        return ctx.wall_slot(self.charge, c - 1)[2] != 0
 
-    def _fits(self, pat: WallPattern, i: int, c: int) -> bool:
-        """Whether column i may hold c slots, its neighbours unchanged."""
+    def is_proper(self, ctx: Context) -> bool:
+        cols = self.cols
+        return not any(a == b and self._full(ctx, a) for a, b in zip(cols, cols[1:]))
+
+    def _fits(self, ctx: Context, i: int, c: int) -> bool:
+        """Whether column i >= 0 may hold c slots, its neighbours unchanged."""
         left = self.col(i - 1) if i > 0 else None
         right = self.col(i + 1)
-        if c < 1 or c < right or (left is not None and c > left):
+        if i < 0 or c < 1 or c < right or (left is not None and c > left):
             return False
-        return not (pat.is_full(c) and c in (left, right))
+        return not (self._full(ctx, c) and c in (left, right))
 
     def _make(self, i: int, count: int) -> "YoungWall":
         cols = list(self.cols) + [1] * (i + 1 - len(self.cols))
@@ -382,13 +335,11 @@ class YoungWall:
 
     def add(self, ctx: Context, i: int) -> "YoungWall | None":
         c = self.col(i) + 1
-        pat = WallPattern.get(ctx, self.charge)
-        return self._make(i, c) if self._fits(pat, i, c) else None
+        return self._make(i, c) if self._fits(ctx, i, c) else None
 
     def remove(self, ctx: Context, i: int) -> "YoungWall | None":
         c = self.col(i) - 1
-        pat = WallPattern.get(ctx, self.charge)
-        return self._make(i, c) if self._fits(pat, i, c) else None
+        return self._make(i, c) if self._fits(ctx, i, c) else None
 
     def admissible_slots(self, ctx: Context):
         """(column, band, color, double) for each place a block may enter.
@@ -396,27 +347,25 @@ class YoungWall:
         A slot where both halves of a special band fit as a pair counts once,
         as double; otherwise a valid single addition counts as single.
         """
-        pat = WallPattern.get(ctx, self.charge)
         out = []
         for i in range(len(self.cols) + 1):
             c = self.col(i)
-            band, color, half = pat.slot(c)
-            if half == 0 and self._fits(pat, i, c + 2):
+            band, color, half = ctx.wall_slot(self.charge, c)
+            if half == 0 and self._fits(ctx, i, c + 2):
                 out.append((i, band, color, True))
-            elif self._fits(pat, i, c + 1):
+            elif self._fits(ctx, i, c + 1):
                 out.append((i, band, color, False))
         return out
 
     def removable_blocks(self, ctx: Context):
         """(column, band, color, double) for each top block that may leave;
         every stored column holds at least two slots, so each has a top block."""
-        pat = WallPattern.get(ctx, self.charge)
         out = []
         for i, c in enumerate(self.cols):
-            band, color, half = pat.slot(c - 1)
-            if half == 1 and self._fits(pat, i, c - 2):
+            band, color, half = ctx.wall_slot(self.charge, c - 1)
+            if half == 1 and self._fits(ctx, i, c - 2):
                 out.append((i, band, color, True))
-            elif self._fits(pat, i, c - 1):
+            elif self._fits(ctx, i, c - 1):
                 out.append((i, band, color, False))
         return out
 

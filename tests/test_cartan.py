@@ -16,7 +16,7 @@ from crystal_poly.cartan import (
     weight_from_config,
 )
 
-from util import make_context
+from util import GRID8, make_context
 
 
 # ----------------------------------------------------------------------------------
@@ -238,6 +238,40 @@ def test_wall_shift_below_ground_raises():
     ctx = make_context("A2")
     with pytest.raises(ValueError):
         ctx.wall_shift(2, 1)
+
+
+def test_shift_tables_equal_their_definition():
+    for fam, word in GRID8:
+        ctx = make_context(fam, word)
+        p, fold, wall = ctx.p, ctx.fold, ctx.wall_fold
+        P, W = ctx.fold_period, 2 * ctx.n - 2
+        for k in ctx.colors():
+            for t in range(k - 3 * P, k + 3 * P + 1):
+                if t >= k:
+                    want = sum(p.get((fold(u), fold(u - 1)), 0) for u in range(k + 1, t + 1))
+                else:
+                    want = sum(p.get((fold(u), fold(u + 1)), 0) for u in range(t, k))
+                assert ctx.shift(k, t) == want, (fam, word, k, t)
+            for t in range(k, k + 3 * W + 1):
+                want = sum(p.get((wall(u), wall(u - 1)), 0) for u in range(k + 1, t + 1))
+                assert ctx.wall_shift(k, t) == want, (fam, word, k, t)
+
+
+def test_wall_slots_equal_band_by_band_generation():
+    for fam, word in GRID8:
+        ctx = make_context(fam, word)
+        for charge in ctx.specials:
+            slots = []
+            for band in range(charge, charge + 3 * (2 * ctx.n - 2)):
+                color = wall_color(ctx.n, band)
+                if color in ctx.specials:
+                    slots += [(band, color, 0), (band, color, 1)]
+                else:
+                    slots.append((band, color, None))
+            assert [ctx.wall_slot(charge, i) for i in range(len(slots))] == slots
+        for k in set(ctx.colors()) - ctx.specials:
+            with pytest.raises(ValueError):
+                ctx.wall_slot(k, 0)
 
 
 # ----------------------------------------------------------------------------------

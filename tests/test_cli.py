@@ -304,3 +304,33 @@ def test_malformed_input_exits_2(tmp_path, capsys, cfg_kw, argv):
     captured = capsys.readouterr()
     assert "error:" in captured.err
     assert captured.out == ""
+
+
+BASE_CFG = {"family": "A1", "n": 3, "iota_word": [2, 1, 3]}
+
+
+@pytest.mark.parametrize(
+    "cfg, argv, says",
+    [
+        (None, ["enumerate", "--depth", "1"], "cannot read config"),
+        ({"family": "A1", "iota_word": [2, 1, 3]}, ["enumerate", "--depth", "1"], "lacks n"),
+        ({"family": "A1", "n": 3}, ["enumerate", "--depth", "1"], "lacks iota_word"),
+        (BASE_CFG, ["gen-ineq", "--k", "7", "--window", "4"], "--k 7"),
+        (BASE_CFG, ["epsilon-star", "--vector", "[1]", "--k", "9"], "--k 9"),
+        (BASE_CFG, ["enumerate", "--depth", "-1"], "--depth"),
+        (BASE_CFG, ["crosscheck", "--depth", "-2"], "--depth"),
+        (BASE_CFG, ["crosscheck", "--depth", "1", "--window", "-1"], "--window"),
+        (BASE_CFG, ["crosscheck", "--depth", "7"], "1184040 candidates"),
+    ],
+    ids=["config-missing", "config-lacks-n", "config-lacks-word", "gen-ineq-k-outside",
+         "epsilon-star-k-outside", "enumerate-negative-depth", "crosscheck-negative-depth",
+         "crosscheck-negative-window", "crosscheck-over-candidate-limit"],
+)
+def test_unusable_input_exits_2(tmp_path, capsys, cfg, argv, says):
+    path = tmp_path / "cfg.json"
+    if cfg is not None:
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["--config", str(path), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and says in captured.err
+    assert captured.out == ""

@@ -1,6 +1,9 @@
 """Brute-force operator oracles and the exhaustive membership cross-check."""
 
+import itertools
 import random
+from collections import Counter
+from math import comb
 
 import pytest
 
@@ -18,9 +21,10 @@ from crystal_poly import (
     reaches_origin,
     weight_graded_counts,
 )
-from crystal_poly.oracle import _candidate_count, _compile_matrix, _sum_bounded_tuples
+from crystal_poly import oracle
+from crystal_poly.oracle import MAX_CANDIDATES, _candidate_matrix, _compile_matrix
 
-from util import make_context
+from util import GRID8, make_context, reference_reaches_origin
 
 
 # ----------------------------------------------------------------------------------
@@ -76,18 +80,31 @@ def test_reaches_origin():
     ops = CrystalOps(ctx, None)
     assert reaches_origin(ops, ZVector.ZERO)
     star = ZVector.from_list((1, 1, 1, 2, 2, 1, 1, 1, 1, 1, 1, 0, 1))
-    memo = {}
-    assert reaches_origin(ops, star, memo)
-    assert not reaches_origin(ops, ZVector({4: 1}), memo)  # isolated later slot
-    assert not reaches_origin(ops, ZVector({1: -1}), memo)
+    assert reaches_origin(ops, star)
+    assert not reaches_origin(ops, ZVector({4: 1}))  # isolated later slot
+    assert not reaches_origin(ops, ZVector({1: -1}))
 
 
 def test_closure_elements_reach_origin():
     ctx = make_context("C1")
     ops = CrystalOps(ctx, None)
     closure, _ = generate_closure(ops, 3)
-    memo = {}
-    assert all(reaches_origin(ops, x, memo) for x in closure)
+    assert all(reaches_origin(ops, x) for x in closure)
+
+
+def test_greedy_raising_matches_the_full_search():
+    # every vector of entry sum <= 4 on 9 positions, on every grid word
+    vectors = [ZVector(Counter(c)) for size in range(5)
+               for c in itertools.combinations_with_replacement(range(1, 10), size)]
+    assert len(vectors) == 715
+    for fam, word in GRID8:
+        ctx = make_context(fam, word)
+        for lam in (None, {1: 1}, {1: 1, 2: 1}):
+            ops = CrystalOps(ctx, lam)
+            memo = {}
+            for x in vectors:
+                assert reaches_origin(ops, x) == reference_reaches_origin(ops, x, memo), (
+                    fam, word, lam, x)
 
 
 # ----------------------------------------------------------------------------------
@@ -142,10 +159,13 @@ def test_random_reachable_vectors_satisfy_inequalities(family):
 
 
 def test_sum_bounded_tuples_count():
-    tuples = list(_sum_bounded_tuples(4, 2))
-    assert len(tuples) == len(set(tuples)) == _candidate_count(4, 2) == 15
-    assert all(sum(t) <= 2 for t in tuples)
-    assert _candidate_count(6, 2) == 28
+    for support in range(1, 7):
+        for total in range(4):
+            rows = _candidate_matrix(support, total)
+            assert rows.shape == (comb(support + total, total), support)
+            assert len({tuple(r) for r in rows.tolist()}) == len(rows)
+            assert (rows >= 0).all() and (rows.sum(axis=1) <= total).all()
+    assert len(_candidate_matrix(4, 2)) == 15 and len(_candidate_matrix(6, 2)) == 28
 
 
 def test_compile_matrix_keeps_the_strongest_constant_per_row():
@@ -181,3 +201,16 @@ def test_crosscheck_membership_limit():
     assert rep["lambda"] is None
     assert rep["closure"] == 13
     assert rep["feasible"] == 13
+
+
+def test_crosscheck_refuses_too_many_candidates_before_generating(monkeypatch):
+    def unreachable(*_args, **_kwargs):
+        raise AssertionError("membership_family called over the candidate limit")
+
+    monkeypatch.setattr(oracle, "membership_family", unreachable)
+    ctx = make_context("A1")
+    with pytest.raises(RuntimeError) as err:
+        crosscheck_membership(ctx, None, 7)
+    msg = str(err.value)
+    assert "1184040 candidates" in msg and "support 21" in msg and "depth 7" in msg
+    assert str(MAX_CANDIDATES) in msg

@@ -1,0 +1,44 @@
+"""The README's library quick start and command-line examples, run as shown."""
+
+import json
+import re
+import shlex
+from pathlib import Path
+
+from crystal_poly.cli import main
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def _blocks(lang: str) -> list[str]:
+    return re.findall(rf"```{lang}\n(.*?)```", README, flags=re.S)
+
+
+def test_library_quick_start_runs():
+    (code,) = [b for b in _blocks("python") if "Context(" in b]
+    scope: dict = {}
+    exec(code, scope)
+    assert (scope["ok"], scope["witness"]) == (True, None)
+
+
+def test_cli_examples_print_what_the_readme_shows(tmp_path, capsys):
+    demo = json.loads(next(b for b in _blocks("json") if '"iota_word"' in b))
+    free = {k: v for k, v in demo.items() if k != "lambda"}
+    for name, cfg in (("demo.json", demo), ("demo-free.json", free)):
+        (tmp_path / name).write_text(json.dumps(cfg), encoding="utf-8")
+    ran = set()
+    for block in _blocks("console"):
+        # each "$ crystal-poly ..." line is followed by the lines it prints;
+        # "..." stands for lines left out
+        for cmd, shown in re.findall(r"^\$ crystal-poly (.*)\n((?:[^$].*\n)*)", block, re.M):
+            argv = shlex.split(cmd)
+            if argv[2] not in ("check", "enumerate", "epsilon-star", "crosscheck"):
+                continue
+            argv[1] = str(tmp_path / argv[1])
+            main(argv)
+            out = iter(capsys.readouterr().out.splitlines())
+            for line in shown.splitlines():
+                if line.strip() != "...":
+                    assert line in out, (cmd, line)  # in order, others skipped
+            ran.add(argv[2])
+    assert ran == {"check", "enumerate", "epsilon-star", "crosscheck"}

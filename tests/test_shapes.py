@@ -24,7 +24,6 @@ from crystal_poly import (
 )
 from crystal_poly import shapes
 from crystal_poly.shapes import (
-    WallPattern,
     ground_shape,
     shape_children,
     shape_form,
@@ -165,8 +164,7 @@ def test_revised_diagram_double_points_frozen():
 
 def test_wall_pattern_frozen():
     ctx = make_context("A2")
-    pat = WallPattern.get(ctx, 1)
-    assert [pat.slot(i) for i in range(8)] == [
+    assert [ctx.wall_slot(1, i) for i in range(8)] == [
         (1, 1, 0),
         (1, 1, 1),
         (2, 2, None),
@@ -176,10 +174,11 @@ def test_wall_pattern_frozen():
         (5, 1, 1),
         (6, 2, None),
     ]
-    assert pat.cumhalf[:9] == [0, 1, 2, 4, 6, 8, 9, 10, 12]
-    assert [pat.is_full(c) for c in range(7)] == [True, False, True, True, True, True, False]
+    # c slots are full when slot c - 1 is not a lower half
+    assert [ctx.wall_slot(1, c - 1)[2] != 0 for c in range(7)] == [
+        True, False, True, True, True, True, False]
     with pytest.raises(ValueError):
-        WallPattern(ctx, 2)  # only special colors carry wall patterns
+        ctx.wall_slot(2, 0)  # only special colors carry wall patterns
 
 
 def test_wall_validation():
@@ -415,8 +414,8 @@ def test_reyd_rejects_an_entry_above_ground():
     assert RevisedEYD(3, {-2: 0}).boxes() == 1
 
 
-def test_wall_pattern_cached_by_value():
-    a = WallPattern.get(Context("A2", 3, (2, 1, 3)), 1)
-    assert WallPattern.get(Context("A2", 3, (2, 1, 3)), 1) is a  # equal Contexts
-    assert WallPattern.get(Context("A2", 3, (3, 2, 1)), 1) is a  # another word
-    assert WallPattern.get(Context("C1", 3, (1, 2, 3)), 1) is not a  # other machinery
+def test_wall_refuses_negative_columns():
+    ctx = make_context("A2")
+    assert YoungWall(1, (3,)).add(ctx, -1) is None
+    assert YoungWall(1, (5, 3, 2)).add(ctx, -2) is None
+    assert YoungWall(1, (5, 3, 2)).remove(ctx, -1) is None

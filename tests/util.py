@@ -15,6 +15,7 @@ from crystal_poly import (
     Context,
     CrystalOps,
     LinearForm,
+    ZVector,
     coupling_form,
     generate_closure,
     rewrite,
@@ -23,7 +24,6 @@ from crystal_poly import (
 )
 from crystal_poly.inequalities import node_cap
 from crystal_poly.shapes import (
-    WallPattern,
     eyd_form,
     eyd_term_index,
     ground_shape,
@@ -266,6 +266,38 @@ def reference_close(ctx: Context, lam, seeds, bound: int):
 # ----------------------------------------------------------------------------------
 
 
+# The depth-first search over every raising path that reaches_origin ran
+# before greedy raising, kept as a reference for it.
+def reference_reaches_origin(ops: CrystalOps, x: ZVector, memo: dict | None = None) -> bool:
+    """Whether repeated raising brings x back to the origin.
+
+    Raising and lowering are mutual partial inverses and raising strictly
+    shrinks the entry sum, so this holds exactly when x lies in the image of
+    the lowering closure of the origin.  Vectors with a negative entry can
+    never reach the origin and are pruned.
+    """
+    if memo is None:
+        memo = {}
+    colors = ops.ctx.colors()
+
+    def rec(v: ZVector) -> bool:
+        if v.is_zero():
+            return True
+        hit = memo.get(v)
+        if hit is not None:
+            return hit
+        ok = False
+        for k in colors:
+            w = ops.apply_e(v, k)
+            if w is not None and w.nonnegative() and rec(w):
+                ok = True
+                break
+        memo[v] = ok
+        return ok
+
+    return rec(x)
+
+
 def random_shape(ctx, k, rng, max_steps=6):
     sh = ground_shape(ctx, k)
     for _ in range(rng.randrange(0, max_steps + 1)):
@@ -295,7 +327,6 @@ def run_move_checks(ctx: Context, rounds: int, seed: int):
 
     for k in ctx.colors():
         kind = shape_kind(ctx, k)
-        pat = WallPattern.get(ctx, k) if kind == "wall" else None
         for _ in range(rounds):
             sh = random_shape(ctx, k, rng)
             s = rng.choice((1, 2))
@@ -336,7 +367,7 @@ def run_move_checks(ctx: Context, rounds: int, seed: int):
                     sh2 = sh.add(ctx, i)
                     if sh2 is None:
                         continue
-                    band, color, _half = pat.slot(sh.col(i))
+                    band, color, _half = ctx.wall_slot(k, sh.col(i))
                     idx = s + ctx.wall_shift(k, band) + i
                     if idx < 1:
                         continue
@@ -346,7 +377,7 @@ def run_move_checks(ctx: Context, rounds: int, seed: int):
                     sh2 = sh.remove(ctx, i)
                     if sh2 is None:
                         continue
-                    band, color, _half = pat.slot(sh.col(i) - 1)
+                    band, color, _half = ctx.wall_slot(k, sh.col(i) - 1)
                     idx = s + ctx.wall_shift(k, band) + i
                     if idx < 1:
                         continue
