@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import os
 from collections import deque
+from itertools import compress
+from operator import add
 
 from .cartan import Context
 from .crystal import ZVector
@@ -43,6 +45,16 @@ class LinearForm:
 
     ZERO: "LinearForm"
 
+    @staticmethod
+    def _make(constant: int, terms: tuple) -> "LinearForm":
+        """A form from terms already sorted by position, positions >= 1 and
+        coefficients nonzero: nothing is re-checked."""
+        res = object.__new__(LinearForm)
+        res.constant = constant
+        res._terms = terms
+        res._h = hash((constant, terms))
+        return res
+
     @property
     def terms(self) -> tuple[tuple[int, int], ...]:
         return self._terms
@@ -62,9 +74,12 @@ class LinearForm:
     def is_constant(self) -> bool:
         return not self._terms
 
-    def evaluate(self, x) -> int:
-        get = x.get
-        return self.constant + sum(c * get(p) for p, c in self._terms)
+    def evaluate(self, x: ZVector) -> int:
+        get = x._e.get  # the entry dict's own lookup: no Python call per term
+        total = self.constant
+        for p, c in self._terms:
+            total += c * get(p, 0)
+        return total
 
     def __add__(self, other: "LinearForm") -> "LinearForm":
         """Merge of the two sorted term tuples, dropping zero sums.  Both
@@ -91,22 +106,14 @@ class LinearForm:
                 j += 1
         out.extend(a[i:])
         out.extend(b[j:])
-        res = object.__new__(LinearForm)
-        res.constant = constant = self.constant + other.constant
-        res._terms = terms = tuple(out)
-        res._h = hash((constant, terms))
-        return res
+        return LinearForm._make(self.constant + other.constant, tuple(out))
 
     def __sub__(self, other: "LinearForm") -> "LinearForm":
         return self + -other
 
     def __neg__(self) -> "LinearForm":
         """Negated coefficients at the same positions: still a valid form."""
-        res = object.__new__(LinearForm)
-        res.constant = constant = -self.constant
-        res._terms = terms = tuple((p, -c) for p, c in self._terms)
-        res._h = hash((constant, terms))
-        return res
+        return LinearForm._make(-self.constant, tuple((p, -c) for p, c in self._terms))
 
     def scaled(self, m: int) -> "LinearForm":
         return LinearForm(self.constant * m, {p: c * m for p, c in self._terms})
@@ -285,33 +292,54 @@ def _close(seeds, delta, bound: int) -> ClosureResult:
     """Breadth-first closure of ``seeds`` under the step ``delta`` (see
     ``_delta``), keeping forms whose last position is at most ``bound``.
 
-    A step's form depends only on (position, sign), so each is built once per
-    call, in a table keyed by the signed position (``pos`` or ``-pos``), and
-    added with ``+``, a merge of sorted term tuples that re-checks nothing:
-    both operands are valid forms, so positions stay >= 1 and the terms stay
-    sorted and nonzero.  A form that leaves the bound counts as pruned; once
-    ``node_cap()`` forms are kept the search stops, unconverged.
+    Inside the search a form is a dense row: the constant, then one
+    coefficient per position ``1..width``, where ``width`` is the bound or
+    the last seed position if that lies further out.  A step's form depends
+    only on (position, sign), so each is built once per call, as a dense row
+    in a table keyed by the signed position (``pos`` or ``-pos``), and a step
+    adds two rows entry by entry.  A step form reaching past ``width`` is kept
+    as the empty row: every step by it leaves the bound, so it counts as
+    pruned and builds nothing.  A form that leaves the bound counts as pruned;
+    once ``node_cap()`` forms are kept the search stops, unconverged.  The
+    kept rows become ``LinearForm``s once, at the end, sharing their
+    (position, coefficient) pairs.
     """
     cap = node_cap()
-    seen = set(seeds)
-    queue = deque(seen)
-    table: dict[int, LinearForm | None] = {}
+    start = set(seeds)
+    width = max([bound] + [f.max_pos() for f in start])
+
+    def dense(form: LinearForm) -> tuple:
+        row = [0] * (width + 1)
+        row[0] = form.constant
+        for p, c in form.terms:
+            row[p] = c
+        return tuple(row)
+
+    past = ()  # the row of a step form reaching past width
+    table: dict[int, tuple | None] = {0: None}  # the constant takes no step
+    queue = deque(map(dense, start))
+    seen = set(queue)
+    tail = bound + 1 if width > bound else 0  # rows may hold terms past the bound
     pruned = 0
     converged = True
     while queue:
         form = queue.popleft()
-        for pos, c in form.terms:
+        for pos, c in compress(enumerate(form), form):
             key = pos if c > 0 else -pos
             try:
-                d = table[key]
+                row = table[key]
             except KeyError:
-                d = table[key] = delta(pos, c > 0)
-            if d is None:
+                d = delta(pos, c > 0)
+                row = table[key] = (None if d is None else
+                                    past if d.max_pos() > width else dense(d))
+            if not row:
+                if row is past:
+                    pruned += 1
                 continue
-            new = form + d
+            new = tuple(map(add, form, row))
             if new in seen:
                 continue
-            if new.max_pos() > bound:
+            if tail and any(new[tail:]):
                 pruned += 1
                 continue
             if len(seen) >= cap:
@@ -320,7 +348,15 @@ def _close(seeds, delta, bound: int) -> ClosureResult:
                 break
             seen.add(new)
             queue.append(new)
-    return ClosureResult(seen, converged, pruned)
+    pairs: dict[tuple[int, int], tuple[int, int]] = {}
+    share = pairs.setdefault
+    forms = []
+    while seen:  # popping frees each row once it is converted
+        row = seen.pop()
+        coeffs = row[1:]
+        terms = list(compress(enumerate(coeffs, 1), coeffs))
+        forms.append(LinearForm._make(row[0], tuple(map(share, terms, terms))))
+    return ClosureResult(forms, converged, pruned)
 
 
 def _bound(ctx: Context, window: int, margin_periods: int = 2) -> int:
@@ -333,10 +369,31 @@ def _variables(bound: int) -> list[LinearForm]:
     return [variable(p) for p in range(1, bound + 1)]
 
 
+_PLAIN_CACHE: dict[tuple, ClosureResult] = {}
+
+
+def _plain_closure(ctx: Context, k: int | None, bound: int) -> ClosureResult:
+    """Plain-step closure of the variables (``k is None``) or of the color-k
+    seed offset, out to ``bound``.
+
+    These closures do not depend on the weight, so one is built per (ctx, k,
+    bound, node cap) and shared by every caller.  Only converged results are
+    stored; the cap is in the key because a result that converged under one
+    cap need not converge under a lower one.
+    """
+    key = (ctx.family, ctx.n, ctx.word, k, bound, node_cap())
+    res = _PLAIN_CACHE.get(key)
+    if res is None:
+        seeds = _variables(bound) if k is None else [seed_offset(ctx, k)]
+        res = _close(seeds, _delta(ctx, None), bound)
+        if res.converged:
+            _PLAIN_CACHE[key] = res
+    return res
+
+
 def limit_inequalities(ctx: Context, window: int) -> ClosureResult:
     """Closure of all single-variable seeds inside the window (limit crystal)."""
-    bound = _bound(ctx, window)
-    return _close(_variables(bound), _delta(ctx, None), bound)
+    return _plain_closure(ctx, None, _bound(ctx, window))
 
 
 def weight_inequalities(ctx: Context, lam, window: int) -> ClosureResult:
@@ -353,7 +410,7 @@ def boundary_closure_for_color(ctx: Context, lam, k: int, window: int) -> Closur
 
 def offset_closure_for_color(ctx: Context, k: int, window: int) -> ClosureResult:
     """Closure of the color-k seed offset under plain rewriting."""
-    return _close([seed_offset(ctx, k)], _delta(ctx, None), _bound(ctx, window))
+    return _plain_closure(ctx, k, _bound(ctx, window))
 
 
 def membership_family(ctx: Context, lam, support: int,
@@ -361,21 +418,19 @@ def membership_family(ctx: Context, lam, support: int,
     """Inequality family adequate for deciding membership of vectors supported
     in positions ``1..support``.
 
-    Combines the limit closure of the variables with, in the highest-weight
-    case, the closure of each color's boundary seed.  Terms at positions beyond
-    ``support`` evaluate to zero on such vectors, so only each form's
-    restriction to the support matters; generating out to a margin and keeping
-    every form can only sharpen the test, never wrongly reject a member.
+    Combines the limit closure of the variables (shared across weights, see
+    ``_plain_closure``) with, in the highest-weight case, the closure of each
+    color's boundary seed.  Terms at positions beyond ``support`` evaluate to
+    zero on such vectors, so only each form's restriction to the support
+    matters; generating out to a margin and keeping every form can only
+    sharpen the test, never wrongly reject a member.
     """
     bound = _bound(ctx, support, margin_periods)
-    parts = [_close(_variables(bound), _delta(ctx, None), bound)]
+    parts = [_plain_closure(ctx, None, bound)]
     if lam is not None:
         parts += [_close([weight_seed(ctx, lam, k)], _delta(ctx, lam), bound)
                   for k in ctx.colors()]
     return frozenset().union(*(r.forms for r in parts)), all(r.converged for r in parts)
-
-
-_EPS_FORMS_CACHE: dict[tuple, frozenset[LinearForm]] = {}
 
 
 def epsilon_star_forms(ctx: Context, x, k: int, window: int | None = None) -> int:
@@ -385,18 +440,13 @@ def epsilon_star_forms(ctx: Context, x, k: int, window: int | None = None) -> in
     window can only raise the computed value toward the true one."""
     if window is None:
         window = max(x.max_pos(), ctx.period) + ctx.period
-    key = (ctx.family, ctx.n, ctx.word, k, window)
-    forms = _EPS_FORMS_CACHE.get(key)
-    if forms is None:
-        res = offset_closure_for_color(ctx, k, window)
-        if not res.converged:
-            raise RuntimeError(
-                f"offset closure for color {k} did not converge at window {window}; "
-                "raise CRYSTAL_POLY_NODE_CAP or lower the window")
-        forms = res.forms  # the maximum does not depend on the order
-        _EPS_FORMS_CACHE[key] = forms
+    res = offset_closure_for_color(ctx, k, window)
+    if not res.converged:
+        raise RuntimeError(
+            f"offset closure for color {k} did not converge at window {window}; "
+            "raise CRYSTAL_POLY_NODE_CAP or lower the window")
     best = 0
-    for form in forms:
+    for form in res.forms:
         value = -form.evaluate(x)
         if value > best:
             best = value

@@ -9,13 +9,16 @@ two sides is meaningful evidence.
 from __future__ import annotations
 
 import time
+from itertools import chain
 from math import comb
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .cartan import Context
 from .crystal import CrystalOps, ZVector
 from .inequalities import membership_family
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Most candidates the cross-check scans; its sweep holds candidates x 2048 int64s.
 MAX_CANDIDATES = 150_000
@@ -127,31 +130,39 @@ def _compile_matrix(forms, support: int):
 
     Rows that cannot go negative on nonnegative vectors are dropped, duplicate
     restrictions are merged into the strongest one (the smallest constant), and
-    rows are ordered by their last active column so that short local forms (the
-    strongest rejectors) are applied first.
+    rows are ordered by their last active column, then lexicographically, so
+    that short local forms (the strongest rejectors) are applied first.
     """
-    rows = {}
-    for f in forms:
-        vec = [0] * support
-        for p, c in f.terms:
-            if p <= support:
-                vec[p - 1] = c
-        if f.constant >= 0 and all(c >= 0 for c in vec):
-            continue
-        vec = tuple(vec)
-        rows[vec] = min(f.constant, rows.get(vec, f.constant))
-    ordered = sorted(
-        rows.items(),
-        key=lambda it: (max((i for i, c in enumerate(it[0]) if c), default=0), it),
-    )
-    coeffs = np.array([vec for vec, _ in ordered], dtype=np.int64)
-    consts = np.array([const for _, const in ordered], dtype=np.int64)
-    return coeffs, consts
+    import numpy as np  # here, not at module level: only a cross-check pays for it
+
+    forms = list(forms)
+    lengths = np.fromiter((len(f.terms) for f in forms), np.int64, len(forms))
+    flat = np.fromiter(chain.from_iterable(chain.from_iterable(f.terms for f in forms)),
+                       np.int64, 2 * int(lengths.sum())).reshape(-1, 2)
+    consts = np.fromiter((f.constant for f in forms), np.int64, len(forms))
+    row = np.repeat(np.arange(len(forms)), lengths)
+    inside = flat[:, 0] <= support
+    coeffs = np.zeros((len(forms), support), dtype=np.int64)
+    coeffs[row[inside], flat[inside, 0] - 1] = flat[inside, 1]
+    keep = (consts < 0) | (coeffs < 0).any(axis=1)
+    coeffs, consts = coeffs[keep], consts[keep]
+    active = coeffs != 0
+    last = np.where(active.any(axis=1), support - 1 - active[:, ::-1].argmax(axis=1), 0)
+    # lexsort's primary key is its last row: the last active column, then
+    # the columns from the first on
+    order = np.lexsort(np.vstack((coeffs[:, ::-1].T, last)))
+    coeffs, consts = coeffs[order], consts[order]
+    first = np.ones(len(coeffs), dtype=bool)
+    first[1:] = (coeffs[1:] != coeffs[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    return coeffs[starts], np.minimum.reduceat(consts, starts)
 
 
 def _candidate_matrix(support: int, total: int) -> np.ndarray:
     """Every nonnegative integer vector of length ``support`` with entry sum
     at most ``total``, one per row, in lexicographic order."""
+    import numpy as np  # here, not at module level: only a cross-check pays for it
+
     rows = np.zeros((1, 0), dtype=np.int64)
     room = np.array([total], dtype=np.int64)
     for _ in range(support):
@@ -165,6 +176,8 @@ def _candidate_matrix(support: int, total: int) -> np.ndarray:
 
 
 def _feasible_tuples(ctx: Context, lam, depth: int, support: int, margin: int):
+    import numpy as np  # here, not at module level: only a cross-check pays for it
+
     forms, converged = membership_family(ctx, lam, support, margin)
     if not converged:
         raise RuntimeError("inequality generation hit the node cap")

@@ -455,14 +455,15 @@ def enumerate_shapes(ctx: Context, k: int, s: int, bound: int):
     full BFS over the acceptance grid in the tests, and against the
     rewriting closures by the acceptance gate.
 
-    The node cap counts distinct forms.  Only converged results are cached;
-    a converged result does not depend on the cap.
+    The node cap counts distinct forms.  Only converged results are cached,
+    keyed by the cap too: a run that converged under one cap need not
+    converge under a lower one.
     """
-    key = (ctx.family, ctx.n, ctx.word, k, s, bound)
+    cap = node_cap()
+    key = (ctx.family, ctx.n, ctx.word, k, s, bound, cap)
     cached = _SHAPE_CACHE.get(key)
     if cached is not None:
         return cached
-    cap = node_cap()
     ground = ground_shape(ctx, k)
     forms = {shape_form(ctx, k, ground, s)}
     queue = deque([ground])

@@ -27,7 +27,8 @@ from crystal_poly import (
     weight_inequalities,
     weight_seed,
 )
-from crystal_poly.inequalities import _bound, first_violation_positivity
+from crystal_poly import inequalities
+from crystal_poly.inequalities import _bound, _close, _delta, first_violation_positivity
 
 from util import (
     GRID8,
@@ -251,6 +252,12 @@ def _closure_cases(ctx, window):
                       [weight_seed(ctx, W1, k)]))
         cases.append(("offset", offset_closure_for_color(ctx, k, window), None,
                       [seed_offset(ctx, k)]))
+    # seeds past the bound: the search runs wider than the bound and prunes
+    # every step form that does not come back inside it
+    bound = _bound(ctx, window)
+    past = [weight_seed(ctx, W1, 1), LinearForm(0, {bound + 1: -1}),
+            LinearForm(0, {2: 1, bound + ctx.period: -1})]
+    cases.append(("past", _close(past, _delta(ctx, W1), bound), W1, past))
     return cases
 
 
@@ -280,6 +287,63 @@ def test_node_cap_stops_generation(monkeypatch):
     monkeypatch.setenv("CRYSTAL_POLY_NODE_CAP", "5")
     clo = limit_inequalities(make_context("A1"), 6)
     assert not clo.converged
+
+
+def _count_close_calls(monkeypatch):
+    """Empty the plain-closure cache and count the ``_close`` calls made."""
+    monkeypatch.setattr(inequalities, "_PLAIN_CACHE", {})
+    calls = []
+
+    def counted(seeds, delta, bound):
+        calls.append(bound)
+        return _close(seeds, delta, bound)
+
+    monkeypatch.setattr(inequalities, "_close", counted)
+    return calls
+
+
+def test_membership_family_shares_the_plain_closure_across_weights(monkeypatch):
+    calls = _count_close_calls(monkeypatch)
+    ctx = make_context("A1")
+    plain, _ = membership_family(ctx, None, 6)
+    assert len(calls) == 1
+    weighted, _ = membership_family(ctx, W1, 6)
+    assert len(calls) == 1 + ctx.n  # one boundary closure per color, no plain one
+    assert plain <= weighted
+    assert limit_inequalities(ctx, 6 - ctx.period).forms == plain  # the same bound
+    assert len(calls) == 1 + ctx.n
+
+
+def test_plain_closure_cache_never_stores_an_unconverged_result(monkeypatch):
+    calls = _count_close_calls(monkeypatch)
+    ctx = make_context("A1")
+    monkeypatch.setenv("CRYSTAL_POLY_NODE_CAP", "50")
+    for _ in range(2):
+        assert not limit_inequalities(ctx, 6).converged
+    assert len(calls) == 2 and inequalities._PLAIN_CACHE == {}
+
+
+def test_plain_closure_cache_is_keyed_by_the_node_cap(monkeypatch):
+    _count_close_calls(monkeypatch)
+    ctx = make_context("A1")
+    full = limit_inequalities(ctx, 6)
+    assert full.converged and len(full.forms) > 50
+    monkeypatch.setenv("CRYSTAL_POLY_NODE_CAP", "50")
+    capped = limit_inequalities(ctx, 6)
+    assert not capped.converged and len(capped.forms) == 50
+
+
+def test_epsilon_star_forms_reuses_the_offset_closure(monkeypatch):
+    calls = _count_close_calls(monkeypatch)
+    ctx = make_context("A1")
+    x = ZVector({2: 1, 4: 1})
+    window = max(x.max_pos(), ctx.period) + ctx.period
+    for k in ctx.colors():
+        offset_closure_for_color(ctx, k, window)
+    assert len(calls) == ctx.n
+    values = [epsilon_star_forms(ctx, x, k) for k in ctx.colors()]
+    assert len(calls) == ctx.n
+    assert values == [epsilon_star_forms(ctx, x, k, window) for k in ctx.colors()]
 
 
 # ----------------------------------------------------------------------------------

@@ -24,7 +24,13 @@ from crystal_poly import (
 from crystal_poly import oracle
 from crystal_poly.oracle import MAX_CANDIDATES, _candidate_matrix, _compile_matrix
 
-from util import GRID8, make_context, reference_reaches_origin
+from util import (
+    DEFAULT_WORDS,
+    GRID8,
+    make_context,
+    reference_compile_matrix,
+    reference_reaches_origin,
+)
 
 
 # ----------------------------------------------------------------------------------
@@ -176,6 +182,22 @@ def test_compile_matrix_keeps_the_strongest_constant_per_row():
         coeffs, consts = _compile_matrix(forms, 3)
         assert coeffs.tolist() == [[-1, 0, 0]]
         assert consts.tolist() == [1]
+
+
+@pytest.mark.parametrize("family", sorted(DEFAULT_WORDS))
+def test_compile_matrix_equals_the_row_by_row_reference(family):
+    ctx = make_context(family)
+    for lam in (None, {1: 1}):
+        for margin in (1, 2):
+            support = 4 * ctx.n  # the crosscheck workload's depth 4
+            forms, converged = membership_family(ctx, lam, support, margin)
+            assert converged
+            got = _compile_matrix(forms, support)
+            want = reference_compile_matrix(forms, support)
+            assert len(want[0]) > 0
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert (a == b).all(), (lam, margin)
 
 
 def test_crosscheck_membership_fundamental():

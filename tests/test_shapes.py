@@ -268,6 +268,16 @@ def test_enumerate_shapes_never_caches_a_capped_run(monkeypatch):
     assert len(family) == 53
 
 
+def test_enumerate_shapes_cache_is_keyed_by_the_node_cap(monkeypatch):
+    monkeypatch.setattr(shapes, "_SHAPE_CACHE", {})
+    ctx = make_context("A1")
+    forms, converged = enumerate_shapes(ctx, 3, 0, 9)
+    assert converged and len(forms) > 5
+    monkeypatch.setenv("CRYSTAL_POLY_NODE_CAP", "5")
+    forms, converged = enumerate_shapes(ctx, 3, 0, 9)
+    assert not converged and len(forms) == 5
+
+
 def test_enumerate_shapes_keeps_every_form_of_the_full_bfs():
     for fam, word in GRID8:
         ctx = Context(fam, 3, word)

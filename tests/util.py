@@ -11,6 +11,8 @@ from __future__ import annotations
 import random
 from collections import deque
 
+import numpy as np
+
 from crystal_poly import (
     Context,
     CrystalOps,
@@ -259,6 +261,32 @@ def reference_close(ctx: Context, lam, seeds, bound: int):
             seen.add(new)
             queue.append(new)
     return frozenset(seen), converged, pruned
+
+
+# The row-by-row matrix compile that oracle._compile_matrix ran before it
+# moved to numpy, kept as a reference for it.
+def reference_compile_matrix(forms, support: int):
+    """Dense coefficient matrix of the forms' restrictions to the support box:
+    rows that cannot go negative on nonnegative vectors dropped, duplicate
+    restrictions merged into the smallest constant, rows ordered by their
+    last active column, then lexicographically."""
+    rows = {}
+    for f in forms:
+        vec = [0] * support
+        for p, c in f.terms:
+            if p <= support:
+                vec[p - 1] = c
+        if f.constant >= 0 and all(c >= 0 for c in vec):
+            continue
+        vec = tuple(vec)
+        rows[vec] = min(f.constant, rows.get(vec, f.constant))
+    ordered = sorted(
+        rows.items(),
+        key=lambda it: (max((i for i, c in enumerate(it[0]) if c), default=0), it),
+    )
+    coeffs = np.array([vec for vec, _ in ordered], dtype=np.int64)
+    consts = np.array([const for _, const in ordered], dtype=np.int64)
+    return coeffs, consts
 
 
 # ----------------------------------------------------------------------------------
