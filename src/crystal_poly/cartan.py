@@ -183,6 +183,7 @@ class Context:
         # Every table below repeats with its pattern's period: one period per
         # color is built here, and nothing grows later.
         fp, wp, colors = self.fold_period, 2 * n - 2, self.colors()
+        self._fold = tuple(fold_color(self.machinery, n, t) for t in range(1, fp + 1))
         self._up = {k: self._steps(self.fold, k, 1, fp) for k in colors}
         self._down = {k: self._steps(self.fold, k, -1, fp) for k in colors}
         self._wall_up = {k: self._steps(self.wall_fold, k, 1, wp) for k in colors}
@@ -219,7 +220,7 @@ class Context:
 
     # ---- folded patterns -----------------------------------------------------
     def fold(self, t: int) -> int:
-        return fold_color(self.machinery, self.n, t)
+        return self._fold[(t - 1) % self.fold_period]
 
     def wall_fold(self, t: int) -> int:
         return wall_color(self.n, t)

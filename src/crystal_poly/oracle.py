@@ -11,6 +11,7 @@ from __future__ import annotations
 import time
 from itertools import chain
 from math import comb
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from .cartan import Context
@@ -20,7 +21,8 @@ from .inequalities import membership_family
 if TYPE_CHECKING:
     import numpy as np
 
-# Most candidates the cross-check scans; its sweep holds candidates x 2048 int64s.
+# Most candidates the cross-check may scan: the size of its box, which the sweep
+# holds only when no prefix is cut.
 MAX_CANDIDATES = 150_000
 
 # --------------------------------------------------------------------------------
@@ -132,66 +134,77 @@ def _compile_matrix(forms, support: int):
     restrictions are merged into the strongest one (the smallest constant), and
     rows are ordered by their last active column, then lexicographically, so
     that short local forms (the strongest rejectors) are applied first.
+
+    Returns ``(coeffs, consts, starts)``: the rows whose value is decided by
+    the first j columns, and by no fewer (j = 0 for a constant row), are
+    ``starts[j]:starts[j + 1]``.
     """
     import numpy as np  # here, not at module level: only a cross-check pays for it
 
     forms = list(forms)
-    lengths = np.fromiter((len(f.terms) for f in forms), np.int64, len(forms))
-    flat = np.fromiter(chain.from_iterable(chain.from_iterable(f.terms for f in forms)),
+    terms = list(map(attrgetter("terms"), forms))
+    lengths = np.fromiter(map(len, terms), np.int64, len(forms))
+    flat = np.fromiter(chain.from_iterable(chain.from_iterable(terms)),
                        np.int64, 2 * int(lengths.sum())).reshape(-1, 2)
-    consts = np.fromiter((f.constant for f in forms), np.int64, len(forms))
+    consts = np.fromiter(map(attrgetter("constant"), forms), np.int64, len(forms))
     row = np.repeat(np.arange(len(forms)), lengths)
     inside = flat[:, 0] <= support
     coeffs = np.zeros((len(forms), support), dtype=np.int64)
     coeffs[row[inside], flat[inside, 0] - 1] = flat[inside, 1]
     keep = (consts < 0) | (coeffs < 0).any(axis=1)
     coeffs, consts = coeffs[keep], consts[keep]
-    active = coeffs != 0
-    last = np.where(active.any(axis=1), support - 1 - active[:, ::-1].argmax(axis=1), 0)
-    # lexsort's primary key is its last row: the last active column, then
-    # the columns from the first on
-    order = np.lexsort(np.vstack((coeffs[:, ::-1].T, last)))
-    coeffs, consts = coeffs[order], consts[order]
+    # columns read: one past the last active column, 0 when none is active
+    width = ((coeffs != 0) * np.arange(1, support + 1)).max(axis=1, initial=0)
+    # lexsort's primary key is its last row: the columns read, then the
+    # columns from the first on
+    order = np.lexsort(np.vstack((coeffs[:, ::-1].T, width)))
+    coeffs, consts, width = coeffs[order], consts[order], width[order]
     first = np.ones(len(coeffs), dtype=bool)
     first[1:] = (coeffs[1:] != coeffs[:-1]).any(axis=1)
-    starts = np.flatnonzero(first)
-    return coeffs[starts], np.minimum.reduceat(consts, starts)
+    uniq = np.flatnonzero(first)
+    starts = np.searchsorted(width[uniq], np.arange(support + 2))
+    return coeffs[uniq], np.minimum.reduceat(consts, uniq), starts
 
 
-def _candidate_matrix(support: int, total: int) -> np.ndarray:
+def _candidate_matrix(support: int, total: int, *, matrix) -> np.ndarray:
     """Every nonnegative integer vector of length ``support`` with entry sum
-    at most ``total``, one per row, in lexicographic order."""
+    at most ``total`` that satisfies every row of ``matrix`` (as returned by
+    ``_compile_matrix``), one per row, in lexicographic order.
+
+    Candidates grow one column at a time.  Right after its last active column
+    is filled a row is tested on the partial candidates and cuts those it
+    rejects: the columns still to come do not change its value, so no
+    completion of a cut prefix is feasible.  Memory follows the prefixes that
+    survive, not the whole box.  ``matrix`` is keyword-only because
+    ``perfbench/spans.py`` keys each call by its positional arguments.
+    """
     import numpy as np  # here, not at module level: only a cross-check pays for it
 
+    coeffs, consts, starts = matrix
     rows = np.zeros((1, 0), dtype=np.int64)
     room = np.array([total], dtype=np.int64)
-    for _ in range(support):
+    for j in range(support + 1):
+        lo, hi = starts[j], starts[j + 1]
+        if lo < hi:
+            ok = (rows @ coeffs[lo:hi, :j].T >= -consts[lo:hi]).all(axis=1)
+            rows, room = rows[ok], room[ok]
+        if j == support:
+            return rows
         # each row splits into one child per value 0..room of the next entry
         counts = room + 1
         parent = np.repeat(np.arange(len(room)), counts)
         value = np.arange(len(parent)) - (np.cumsum(counts) - counts)[parent]
         rows = np.column_stack((rows[parent], value))
         room = room[parent] - value
-    return rows
 
 
 def _feasible_tuples(ctx: Context, lam, depth: int, support: int, margin: int):
-    import numpy as np  # here, not at module level: only a cross-check pays for it
-
     forms, converged = membership_family(ctx, lam, support, margin)
     if not converged:
         raise RuntimeError("inequality generation hit the node cap")
-    coeffs, consts = _compile_matrix(forms, support)
-    cands = _candidate_matrix(support, depth)
-    alive = np.arange(len(cands))
-    for start in range(0, len(coeffs), 2048):
-        block, base = coeffs[start:start + 2048], consts[start:start + 2048]
-        values = cands[alive] @ block.T + base
-        alive = alive[(values >= 0).all(axis=1)]
-        if alive.size == 0:
-            break
-    feasible = {tuple(int(v) for v in cands[i]) for i in alive}
-    return feasible, len(coeffs)
+    matrix = _compile_matrix(forms, support)
+    rows = _candidate_matrix(support, depth, matrix=matrix)
+    return set(map(tuple, rows.tolist())), len(matrix[0])
 
 
 def crosscheck_membership(

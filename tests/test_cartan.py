@@ -247,6 +247,7 @@ def test_shift_tables_equal_their_definition():
         P, W = ctx.fold_period, 2 * ctx.n - 2
         for k in ctx.colors():
             for t in range(k - 3 * P, k + 3 * P + 1):
+                assert fold(t) == fold_color(ctx.machinery, ctx.n, t), (fam, word, t)
                 if t >= k:
                     want = sum(p.get((fold(u), fold(u - 1)), 0) for u in range(k + 1, t + 1))
                 else:

@@ -203,6 +203,17 @@ def test_crosscheck_with_weight_and_window(tmp_path, capsys):
     assert report["window"] == 7
 
 
+@pytest.mark.parametrize("family,word,lam", [("A1", (2, 1, 3), None), ("C1", (1, 2, 3), {1: 1})])
+def test_crosscheck_at_depth_zero_scans_the_empty_box(tmp_path, capsys, family, word, lam):
+    cfg = write_cfg(tmp_path, family=family, word=word, lam=lam)
+    rc = main(["--config", cfg, "crosscheck", "--depth", "0"])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert report["matched"] is True
+    assert report["support_positions"] == 0
+    assert report["candidates"] == report["feasible"] == report["closure"] == 1
+
+
 # ----------------------------------------------------------------------------------
 # golden gen-ineq output
 # ----------------------------------------------------------------------------------

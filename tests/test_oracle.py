@@ -28,7 +28,9 @@ from util import (
     DEFAULT_WORDS,
     GRID8,
     make_context,
+    reference_candidate_matrix,
     reference_compile_matrix,
+    reference_feasible,
     reference_reaches_origin,
 )
 
@@ -165,13 +167,93 @@ def test_random_reachable_vectors_satisfy_inequalities(family):
 
 
 def test_sum_bounded_tuples_count():
-    for support in range(1, 7):
+    # with no rows to cut, the pruned sweep and the reference box both give
+    # every vector of entry sum <= total, in the same order
+    for support in range(7):
         for total in range(4):
-            rows = _candidate_matrix(support, total)
-            assert rows.shape == (comb(support + total, total), support)
-            assert len({tuple(r) for r in rows.tolist()}) == len(rows)
-            assert (rows >= 0).all() and (rows.sum(axis=1) <= total).all()
-    assert len(_candidate_matrix(4, 2)) == 15 and len(_candidate_matrix(6, 2)) == 28
+            want = reference_candidate_matrix(support, total)
+            rows = _candidate_matrix(support, total, matrix=_compile_matrix([], support))
+            for got in (want, rows):
+                assert got.shape == (comb(support + total, total), support)
+                assert len({tuple(r) for r in got.tolist()}) == len(got)
+                assert (got >= 0).all() and (got.sum(axis=1) <= total).all()
+            assert rows.tolist() == want.tolist()
+    assert len(reference_candidate_matrix(4, 2)) == 15
+    assert len(_candidate_matrix(6, 2, matrix=_compile_matrix([], 6))) == 28
+
+
+def _sweep_both(forms, support, total):
+    """The pruned sweep's feasible set and the reference block sweep's, from
+    one compiled matrix."""
+    matrix = _compile_matrix(forms, support)
+    rows = _candidate_matrix(support, total, matrix=matrix)
+    coeffs, consts, _ = matrix
+    assert rows.tolist() == sorted(rows.tolist())
+    return set(map(tuple, rows.tolist())), reference_feasible(coeffs, consts, support, total)
+
+
+def test_pruned_sweep_cuts_on_a_constant_row():
+    # restricted to the support the row is the constant -1: nothing is feasible
+    for support in range(4):
+        coeffs, consts, starts = _compile_matrix([LinearForm(-1, {5: 1})], support)
+        assert coeffs.shape == (1, support) and starts[:2].tolist() == [0, 1]
+        got, want = _sweep_both([LinearForm(-1, {5: 1}), LinearForm(2, {1: -1})], support, 3)
+        assert got == want == set()
+    # a nonnegative constant row is dropped and cuts nothing
+    got, want = _sweep_both([LinearForm(0, {5: -1})], 2, 2)
+    assert got == want and len(got) == comb(4, 2)
+
+
+def test_pruned_sweep_applies_a_last_column_row_at_the_end():
+    # x3 <= 1 reads every column of a width-3 box
+    form = LinearForm(1, {3: -1})
+    coeffs, consts, starts = _compile_matrix([form], 3)
+    assert starts.tolist() == [0, 0, 0, 0, 1]
+    got, want = _sweep_both([form], 3, 3)
+    assert got == want
+    assert got == {v for v in itertools.product(range(4), repeat=3)
+                   if sum(v) <= 3 and v[2] <= 1}
+
+
+def test_pruned_sweep_merges_duplicate_rows():
+    # both restrict to x2 - x1 on the support; the smaller constant wins
+    forms = [LinearForm(2, {1: -1, 2: 1}), LinearForm(1, {1: -1, 2: 1, 7: 3}),
+             LinearForm(0, {2: -1, 3: 1})]
+    coeffs, consts, starts = _compile_matrix(forms, 3)
+    assert coeffs.tolist() == [[-1, 1, 0], [0, -1, 1]] and consts.tolist() == [1, 0]
+    assert starts.tolist() == [0, 0, 0, 1, 2]
+    got, want = _sweep_both(forms, 3, 4)
+    assert got == want
+    assert got == {v for v in itertools.product(range(5), repeat=3)
+                   if sum(v) <= 4 and v[0] <= v[1] + 1 and v[2] >= v[1]}
+
+
+def test_pruned_sweep_equals_the_block_sweep(monkeypatch):
+    sweep = oracle._candidate_matrix
+    supports = []
+
+    def checked(support, total, *, matrix):
+        rows = sweep(support, total, matrix=matrix)
+        coeffs, consts, _ = matrix
+        assert set(map(tuple, rows.tolist())) == reference_feasible(coeffs, consts,
+                                                                    support, total)
+        supports.append(support)
+        return rows
+
+    monkeypatch.setattr(oracle, "_candidate_matrix", checked)
+    for fam, word in GRID8:
+        ctx = make_context(fam, word)
+        for lam in (None, {1: 1}, {1: 1, 2: 1}):
+            for depth in range(1, 5):
+                assert crosscheck_membership(ctx, lam, depth)["matched"], (fam, word, lam)
+    assert len(supports) == 8 * 3 * 4
+    # a window below the closure's reach is grown to it; one above it is kept
+    ctx = make_context("A2")
+    small = crosscheck_membership(ctx, {1: 1}, 3, window=2)
+    large = crosscheck_membership(ctx, {1: 1}, 3, window=14)
+    assert small["matched"] and large["matched"]
+    assert small["support_positions"] > 2 and large["support_positions"] == 14
+    assert supports[-2:] == [small["support_positions"], 14]
 
 
 def test_compile_matrix_keeps_the_strongest_constant_per_row():
@@ -179,7 +261,7 @@ def test_compile_matrix_keeps_the_strongest_constant_per_row():
     weak = LinearForm(3, {1: -1, 5: 2})
     strong = LinearForm(1, {1: -1})
     for forms in ([weak, strong], [strong, weak]):
-        coeffs, consts = _compile_matrix(forms, 3)
+        coeffs, consts, _ = _compile_matrix(forms, 3)
         assert coeffs.tolist() == [[-1, 0, 0]]
         assert consts.tolist() == [1]
 
@@ -198,6 +280,11 @@ def test_compile_matrix_equals_the_row_by_row_reference(family):
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert (a == b).all(), (lam, margin)
+            # rows starts[j]:starts[j + 1] read exactly the first j columns
+            coeffs, starts = got[0], got[2]
+            reads = [max((i + 1 for i, c in enumerate(r) if c), default=0)
+                     for r in coeffs.tolist()]
+            assert starts.tolist() == [sum(r < j for r in reads) for j in range(support + 2)]
 
 
 def test_crosscheck_membership_fundamental():

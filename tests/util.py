@@ -289,6 +289,36 @@ def reference_compile_matrix(forms, support: int):
     return coeffs, consts
 
 
+# The candidate box and 2048-row block sweep that oracle._feasible_tuples ran
+# before the sweep cut partial candidates by prefix, kept as a reference for it.
+def reference_candidate_matrix(support: int, total: int) -> np.ndarray:
+    """Every nonnegative integer vector of length ``support`` with entry sum
+    at most ``total``, one per row, in lexicographic order."""
+    rows = np.zeros((1, 0), dtype=np.int64)
+    room = np.array([total], dtype=np.int64)
+    for _ in range(support):
+        # each row splits into one child per value 0..room of the next entry
+        counts = room + 1
+        parent = np.repeat(np.arange(len(room)), counts)
+        value = np.arange(len(parent)) - (np.cumsum(counts) - counts)[parent]
+        rows = np.column_stack((rows[parent], value))
+        room = room[parent] - value
+    return rows
+
+
+def reference_feasible(coeffs, consts, support: int, depth: int) -> set:
+    """The candidates of entry sum at most ``depth`` that satisfy every row."""
+    cands = reference_candidate_matrix(support, depth)
+    alive = np.arange(len(cands))
+    for start in range(0, len(coeffs), 2048):
+        block, base = coeffs[start:start + 2048], consts[start:start + 2048]
+        values = cands[alive] @ block.T + base
+        alive = alive[(values >= 0).all(axis=1)]
+        if alive.size == 0:
+            break
+    return {tuple(int(v) for v in cands[i]) for i in alive}
+
+
 # ----------------------------------------------------------------------------------
 # Reusable randomized checkers.
 # ----------------------------------------------------------------------------------
