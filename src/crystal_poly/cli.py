@@ -40,6 +40,14 @@ def _load_config(path: str) -> dict:
     missing = [key for key in ("family", "n", "iota_word") if key not in cfg]
     if missing:
         raise ValueError(f"config {path} lacks {', '.join(missing)}")
+    word, lam = cfg["iota_word"], cfg.get("lambda")
+    if not isinstance(cfg["n"], int):
+        raise ValueError(f"config {path}: n must be an integer")
+    if not (isinstance(word, list) and all(isinstance(c, int) for c in word)):
+        raise ValueError(f"config {path}: iota_word must be a list of integers")
+    if not (lam is None or isinstance(lam, dict)
+            and all(isinstance(v, int) for v in lam.values())):
+        raise ValueError(f"config {path}: lambda must map colors to integers")
     return cfg
 
 

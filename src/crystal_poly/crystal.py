@@ -43,10 +43,6 @@ class ZVector:
         return ZVector({p: v for p, v in enumerate(values, start=1)})
 
     @staticmethod
-    def from_sk(ctx: Context, entries: dict) -> "ZVector":
-        return ZVector({ctx.pos_of(s, k): v for (s, k), v in entries.items()})
-
-    @staticmethod
     def parse(text: str, ctx: Context) -> "ZVector":
         """Parse ``[a1,a2,...]`` (position order) or ``{(s,k): v, ...}``."""
         try:
@@ -222,11 +218,3 @@ class CrystalOps:
         # raising acts at the last position achieving the maximum
         idx = len(values) - 1 - values[::-1].index(smax)
         return x.with_delta(positions[idx], -1)
-
-    def apply_word(self, x: ZVector, ops) -> ZVector | None:
-        """Apply ``ops`` = sequence of ("f"|"e", color) left to right."""
-        for tag, k in ops:
-            x = self.apply_f(x, k) if tag == "f" else self.apply_e(x, k)
-            if x is None:
-                return None
-        return x

@@ -71,9 +71,6 @@ class LinearForm:
     def max_pos(self) -> int:
         return self._terms[-1][0] if self._terms else 0
 
-    def is_constant(self) -> bool:
-        return not self._terms
-
     def evaluate(self, x: ZVector) -> int:
         get = x._e.get  # the entry dict's own lookup: no Python call per term
         total = self.constant
@@ -114,9 +111,6 @@ class LinearForm:
     def __neg__(self) -> "LinearForm":
         """Negated coefficients at the same positions: still a valid form."""
         return LinearForm._make(-self.constant, tuple((p, -c) for p, c in self._terms))
-
-    def scaled(self, m: int) -> "LinearForm":
-        return LinearForm(self.constant * m, {p: c * m for p, c in self._terms})
 
     def shift_periods(self, period: int, delta: int) -> "LinearForm":
         """Translate every position by ``delta`` word periods."""
@@ -160,16 +154,6 @@ class LinearForm:
                 for p, c in self._terms
             ],
         }
-
-    @staticmethod
-    def from_json(ctx: Context, obj: dict) -> "LinearForm":
-        return LinearForm(
-            obj.get("constant", 0),
-            {
-                ctx.pos_of(int(t["s"]), int(t["k"])): int(t["coeff"])
-                for t in obj.get("terms", [])
-            },
-        )
 
     def __eq__(self, other):
         return (
@@ -266,11 +250,6 @@ def rewrite(ctx: Context, lam: dict[int, int] | None, form: LinearForm,
     c = form.coeff(pos)
     d = _delta(ctx, lam)(pos, c > 0) if c else None
     return form if d is None else form + d
-
-
-def rewrite_plain(ctx: Context, form: LinearForm, pos: int) -> LinearForm:
-    """One plain rewriting step at ``pos`` (limit-crystal flavor)."""
-    return rewrite(ctx, None, form, pos)
 
 
 # ---- closures --------------------------------------------------------------------

@@ -149,10 +149,17 @@ def _compile_matrix(forms, support: int):
     consts = np.fromiter(map(attrgetter("constant"), forms), np.int64, len(forms))
     row = np.repeat(np.arange(len(forms)), lengths)
     inside = flat[:, 0] <= support
-    coeffs = np.zeros((len(forms), support), dtype=np.int64)
-    coeffs[row[inside], flat[inside, 0] - 1] = flat[inside, 1]
-    keep = (consts < 0) | (coeffs < 0).any(axis=1)
-    coeffs, consts = coeffs[keep], consts[keep]
+    # a row can go negative only through its constant or a negative
+    # coefficient inside the box; only those rows are made dense
+    keep = consts < 0
+    keep[row[inside & (flat[:, 1] < 0)]] = True
+    fill = inside & keep[row]
+    # the kept terms, each with the index of its row among the kept rows
+    row, flat = (np.cumsum(keep) - 1)[row[fill]], flat[fill]
+    coeffs = np.zeros((int(keep.sum()), support), dtype=np.int64)
+    coeffs[row, flat[:, 0] - 1] = flat[:, 1]
+    consts = consts[keep]
+    del forms, terms, row, flat, inside, fill  # freed before the sort copies rows
     # columns read: one past the last active column, 0 when none is active
     width = ((coeffs != 0) * np.arange(1, support + 1)).max(axis=1, initial=0)
     # lexsort's primary key is its last row: the columns read, then the

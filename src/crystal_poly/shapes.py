@@ -61,10 +61,6 @@ class ExtendedYoungDiagram:
         self.charge = charge
         self.ys = ys
 
-    @classmethod
-    def ground(cls, charge: int) -> "ExtendedYoungDiagram":
-        return cls(charge)
-
     def y(self, r: int) -> int:
         return self.ys[r] if r < len(self.ys) else self.charge
 
@@ -155,10 +151,6 @@ class RevisedEYD:
         for t, y in self.devs:
             if y >= self.ground(t):
                 raise ValueError(f"entry at {t} is not below the ground profile")
-
-    @classmethod
-    def ground_shape(cls, charge: int) -> "RevisedEYD":
-        return cls(charge)
 
     def ground(self, t: int) -> int:
         return self.charge + min(t, 0)
@@ -262,14 +254,10 @@ def reyd_adm_index(ctx: Context, k: int, s: int, i: int, level: int) -> tuple[in
     )
 
 
-def reyd_rem_index(ctx: Context, k: int, s: int, i: int, level: int) -> tuple[int, int]:
-    return reyd_adm_index(ctx, k, s, i - 1, level)
-
-
 def reyd_form(ctx: Context, k: int, shape: RevisedEYD, s: int) -> LinearForm:
     adm = [(reyd_adm_index(ctx, k, s, i, level)[0], color, 2 if double else 1)
            for i, level, color, double in shape.admissible_points(ctx)]
-    rem = [(reyd_rem_index(ctx, k, s, i, level)[0], color, -2 if double else -1)
+    rem = [(reyd_adm_index(ctx, k, s, i - 1, level)[0], color, -2 if double else -1)
            for i, level, color, double in shape.removable_points(ctx)]
     return _form(ctx, adm + rem)
 
@@ -301,10 +289,6 @@ class YoungWall:
             raise ValueError("columns must be weakly decreasing")
         self.charge = charge
         self.cols = cols
-
-    @classmethod
-    def ground_wall(cls, charge: int) -> "YoungWall":
-        return cls(charge)
 
     def col(self, i: int) -> int:
         return self.cols[i] if i < len(self.cols) else 1
@@ -403,13 +387,12 @@ def shape_kind(ctx: Context, k: int) -> str:
     return "wall" if k in ctx.specials else "reyd"
 
 
+_SHAPE_CLASS = {"eyd": ExtendedYoungDiagram, "reyd": RevisedEYD, "wall": YoungWall}
+
+
 def ground_shape(ctx: Context, k: int):
-    kind = shape_kind(ctx, k)
-    if kind == "eyd":
-        return ExtendedYoungDiagram.ground(k)
-    if kind == "reyd":
-        return RevisedEYD.ground_shape(k)
-    return YoungWall.ground_wall(k)
+    """The empty shape of color k's family: charge k, nothing added."""
+    return _SHAPE_CLASS[shape_kind(ctx, k)](k)
 
 
 def shape_form(ctx: Context, k: int, shape, s: int) -> LinearForm:

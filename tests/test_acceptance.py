@@ -16,22 +16,23 @@ from crystal_poly import (
     RevisedEYD,
     YoungWall,
     ZVector,
+    comb_lambda,
+    crosscheck_membership,
+    epsilon_star_oracle,
+    eyd_form,
+    limit_inequalities,
+    reyd_form,
+    wall_form,
+)
+from crystal_poly.inequalities import (
     boundary_closure_for_color,
     check_ample,
     check_positivity,
     check_strict_positivity,
-    comb_infinity,
-    comb_lambda,
-    crosscheck_membership,
     epsilon_star_forms,
-    epsilon_star_oracle,
-    eyd_form,
-    limit_inequalities,
-    random_reachable,
-    reyd_form,
-    wall_form,
 )
-from crystal_poly.shapes import shape_kind
+from crystal_poly.oracle import random_reachable
+from crystal_poly.shapes import comb_infinity, shape_kind
 
 from util import (
     CHARGE3_DIAGRAMS,

@@ -332,10 +332,16 @@ BASE_CFG = {"family": "A1", "n": 3, "iota_word": [2, 1, 3]}
         (BASE_CFG, ["crosscheck", "--depth", "-2"], "--depth"),
         (BASE_CFG, ["crosscheck", "--depth", "1", "--window", "-1"], "--window"),
         (BASE_CFG, ["crosscheck", "--depth", "7"], "1184040 candidates"),
+        ({**BASE_CFG, "iota_word": 5}, ["enumerate", "--depth", "1"], "iota_word"),
+        ({**BASE_CFG, "n": None}, ["enumerate", "--depth", "1"], "n must"),
+        ({**BASE_CFG, "lambda": [1]}, ["enumerate", "--depth", "1"], "lambda"),
+        ({**BASE_CFG, "lambda": {"1": None}}, ["enumerate", "--depth", "1"], "lambda"),
     ],
     ids=["config-missing", "config-lacks-n", "config-lacks-word", "gen-ineq-k-outside",
          "epsilon-star-k-outside", "enumerate-negative-depth", "crosscheck-negative-depth",
-         "crosscheck-negative-window", "crosscheck-over-candidate-limit"],
+         "crosscheck-negative-window", "crosscheck-over-candidate-limit",
+         "config-word-not-a-list", "config-n-null", "config-lambda-not-an-object",
+         "config-lambda-value-null"],
 )
 def test_unusable_input_exits_2(tmp_path, capsys, cfg, argv, says):
     path = tmp_path / "cfg.json"

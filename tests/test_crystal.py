@@ -29,8 +29,7 @@ def test_zvector_constructors_and_round_trips():
     ctx = make_context("A1")  # word 2,1,3
     a = ZVector.from_list([0, 1, 0, 2])
     assert dict(a.items()) == {2: 1, 4: 2}
-    b = ZVector.from_sk(ctx, {(1, 1): 1, (2, 2): 2})
-    assert dict(b.items()) == {2: 1, 4: 2}
+    b = ZVector({ctx.pos_of(1, 1): 1, ctx.pos_of(2, 2): 2})
     assert a == b
     assert hash(a) == hash(b)
     assert a.to_sk(ctx) == {(1, 1): 1, (2, 2): 2}
@@ -106,23 +105,18 @@ def test_structure_functions_frozen():
 def test_long_lowering_word_frozen():
     ctx = make_context("A1")
     ops = CrystalOps(ctx, None)
-    word = (
-        [("f", 3)]
-        + [("f", 1)] * 2
-        + [("f", 2)] * 3
-        + [("f", 3)] * 2
-        + [("f", 1)] * 3
-        + [("f", 2)] * 3
-    )
-    got = ops.apply_word(ZVector.ZERO, word)
+    got = ZVector.ZERO
+    for k in [3] + [1] * 2 + [2] * 3 + [3] * 2 + [1] * 3 + [2] * 3:
+        got = ops.apply_f(got, k)
     assert got == ZVector.from_list((1, 1, 1, 2, 2, 1, 1, 1, 1, 1, 1, 0, 1))
 
 
-def test_apply_word_propagates_dead_ends():
+def test_operators_stop_at_dead_ends():
     ctx = make_context("A1")
     ops = CrystalOps(ctx, {1: 1})
-    assert ops.apply_word(ZVector.ZERO, [("f", 1), ("f", 1)]) is None
-    assert ops.apply_word(ZVector.ZERO, [("e", 1)]) is None
+    once = ops.apply_f(ZVector.ZERO, 1)
+    assert once is not None and ops.apply_f(once, 1) is None
+    assert ops.apply_e(ZVector.ZERO, 1) is None
 
 
 # ----------------------------------------------------------------------------------

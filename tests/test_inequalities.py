@@ -4,31 +4,32 @@ import random
 
 import pytest
 
-from crystal_poly import (
-    CrystalOps,
+from crystal_poly import inequalities
+from crystal_poly.crystal import CrystalOps, ZVector
+from crystal_poly.inequalities import (
     LinearForm,
-    ZVector,
+    _bound,
+    _close,
+    _delta,
     boundary_closure_for_color,
     check_ample,
     check_positivity,
     check_strict_positivity,
     coupling_form,
     epsilon_star_forms,
+    first_violation_positivity,
     limit_inequalities,
     membership,
     membership_family,
     offset_closure_for_color,
-    random_reachable,
     rewrite,
-    rewrite_plain,
     seed_offset,
     sorted_forms,
     variable,
     weight_inequalities,
     weight_seed,
 )
-from crystal_poly import inequalities
-from crystal_poly.inequalities import _bound, _close, _delta, first_violation_positivity
+from crystal_poly.oracle import random_reachable
 
 from util import (
     GRID8,
@@ -52,8 +53,6 @@ def test_form_normalization():
     assert f.coeff(5) == 0
     assert f.positions() == [1, 2]
     assert f.max_pos() == 2
-    assert not f.is_constant()
-    assert LinearForm(7).is_constant()
     with pytest.raises(ValueError):
         LinearForm(0, {0: 1})
 
@@ -100,8 +99,6 @@ def test_form_algebra():
     assert a + b == LinearForm(0, {2: 5, 3: -1})
     assert a - a == LinearForm.ZERO
     assert -a == LinearForm(-1, {1: -2, 3: 1})
-    assert a.scaled(-2) == LinearForm(-2, {1: -4, 3: 2})
-    assert a.scaled(0) == LinearForm.ZERO
     assert a.evaluate(ZVector({1: 1, 3: 4})) == 1 + 2 - 4
 
 
@@ -122,15 +119,7 @@ def test_render_frozen():
     assert LinearForm(-3).render(ctx) == "-3"
 
 
-def test_json_round_trip():
-    ctx = make_context("C1")
-    rng = random.Random(11)
-    for _ in range(50):
-        f = LinearForm(
-            rng.randrange(-3, 4),
-            {rng.randrange(1, 13): rng.randrange(-3, 4) for _ in range(3)},
-        )
-        assert LinearForm.from_json(ctx, f.to_json(ctx)) == f
+def test_to_json_frozen():
     frozen = mk(make_context("A1"), {(1, 1): 2, (2, 2): -1})
     assert frozen.to_json(make_context("A1")) == {
         "constant": 0,
@@ -173,15 +162,15 @@ def test_weight_seed_frozen():
     assert seed_offset(ctx, 2) == mk(ctx, {(1, 2): -1})
 
 
-def test_rewrite_plain_branches():
+def test_plain_rewrite_branches():
     ctx = make_context("A1")
     v = variable(ctx.pos_of(2, 1))
-    assert rewrite_plain(ctx, v, v.max_pos()) == v - coupling_form(ctx, 2, 1)
+    assert rewrite(ctx, None, v, v.max_pos()) == v - coupling_form(ctx, 2, 1)
     neg = -v
-    assert rewrite_plain(ctx, neg, v.max_pos()) == neg + coupling_form(ctx, 1, 1)
+    assert rewrite(ctx, None, neg, v.max_pos()) == neg + coupling_form(ctx, 1, 1)
     first = -variable(ctx.pos_of(1, 1))
-    assert rewrite_plain(ctx, first, first.max_pos()) == first  # nothing below
-    assert rewrite_plain(ctx, v, 99) == v  # zero coefficient: no-op
+    assert rewrite(ctx, None, first, first.max_pos()) == first  # nothing below
+    assert rewrite(ctx, None, v, 99) == v  # zero coefficient: no-op
 
 
 def test_rewrite_boundary_step_consumes_seed():

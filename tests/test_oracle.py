@@ -12,17 +12,21 @@ from crystal_poly import (
     LinearForm,
     ZVector,
     crosscheck_membership,
-    epsilon_star_forms,
     epsilon_star_oracle,
     generate_closure,
     membership,
     membership_family,
-    random_reachable,
     reaches_origin,
-    weight_graded_counts,
 )
 from crystal_poly import oracle
-from crystal_poly.oracle import MAX_CANDIDATES, _candidate_matrix, _compile_matrix
+from crystal_poly.inequalities import epsilon_star_forms
+from crystal_poly.oracle import (
+    MAX_CANDIDATES,
+    _candidate_matrix,
+    _compile_matrix,
+    random_reachable,
+    weight_graded_counts,
+)
 
 from util import (
     DEFAULT_WORDS,

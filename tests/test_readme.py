@@ -1,10 +1,13 @@
-"""The README's library quick start and command-line examples, run as shown."""
+"""The README's library quick start and command-line examples, run as shown,
+and the package root held to the names the README documents."""
 
 import json
 import re
 import shlex
 from pathlib import Path
+from types import ModuleType
 
+import crystal_poly
 from crystal_poly.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -19,6 +22,18 @@ def test_library_quick_start_runs():
     scope: dict = {}
     exec(code, scope)
     assert (scope["ok"], scope["witness"]) == (True, None)
+
+
+def test_root_exports_exactly_the_documented_names():
+    (code,) = [b for b in _blocks("python") if "Context(" in b]
+    names = re.findall(r"\w+", re.search(r"from crystal_poly import \((.*?)\)", code, re.S)[1])
+    (para,) = [p for p in README.split("\n\n") if "exported from the package root" in p]
+    names += re.findall(r"`(\w+)`", para)
+    assert sorted(names) == sorted(crystal_poly.__all__)
+    assert len(set(names)) == len(names)
+    public = {name for name, value in vars(crystal_poly).items()
+              if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert public == set(names)  # every documented name is bound, and nothing else
 
 
 def test_cli_examples_print_what_the_readme_shows(tmp_path, capsys):

@@ -11,20 +11,20 @@ from crystal_poly import (
     LinearForm,
     RevisedEYD,
     YoungWall,
-    comb_infinity,
     comb_lambda,
-    comb_lambda_case,
     enumerate_shapes,
     eyd_form,
-    left_ladder,
     limit_inequalities,
     reyd_form,
-    right_ladder,
     wall_form,
 )
 from crystal_poly import shapes
 from crystal_poly.shapes import (
+    comb_infinity,
+    comb_lambda_case,
     ground_shape,
+    left_ladder,
+    right_ladder,
     shape_children,
     shape_form,
     shape_kind,
@@ -65,14 +65,14 @@ def test_eyd_corners_frozen():
     assert concave == [(0, -3), (1, -2), (2, -1), (4, 0), (5, 1)]
     assert convex == [(1, -3), (2, -2), (4, -1), (5, 0)]
     assert d.boxes() == 12
-    ground = ExtendedYoungDiagram.ground(2)
+    ground = ExtendedYoungDiagram(2)
     assert ground.corners() == ([(0, 2)], [])
     assert ground.boxes() == 0
 
 
 def test_eyd_additions_removals_inverse():
     rng = random.Random(3)
-    d = ExtendedYoungDiagram.ground(2)
+    d = ExtendedYoungDiagram(2)
     for _ in range(40):
         adds = d.additions()
         assert adds, "additions never dry up"
@@ -96,7 +96,7 @@ def test_charge3_diagram_forms_frozen():
 
 
 def test_reyd_ground_and_deviations():
-    t = RevisedEYD.ground_shape(2)
+    t = RevisedEYD(2)
     assert t.boxes() == 0
     assert t.y(-3) == -1 and t.y(0) == 2 and t.y(5) == 2
     u = RevisedEYD(2, {0: 1, 1: 1})
@@ -206,7 +206,7 @@ def test_wall_classification_frozen():
 def test_wall_add_remove_inverse():
     ctx = make_context("A2")
     rng = random.Random(13)
-    w = YoungWall.ground_wall(1)
+    w = YoungWall(1)
     for _ in range(40):
         slots = [i for i in range(len(w.cols) + 1) if w.add(ctx, i) is not None]
         if not slots:

@@ -13,25 +13,14 @@ from collections import deque
 
 import numpy as np
 
-from crystal_poly import (
-    Context,
-    CrystalOps,
-    LinearForm,
-    ZVector,
-    coupling_form,
-    generate_closure,
-    rewrite,
-    rewrite_plain,
-    weight_seed,
-)
-from crystal_poly.inequalities import node_cap
+from crystal_poly import Context, CrystalOps, LinearForm, ZVector, generate_closure
+from crystal_poly.inequalities import coupling_form, node_cap, rewrite, weight_seed
 from crystal_poly.shapes import (
     eyd_form,
     eyd_term_index,
     ground_shape,
     reyd_adm_index,
     reyd_form,
-    reyd_rem_index,
     shape_children,
     shape_form,
     shape_kind,
@@ -204,7 +193,7 @@ def full_shape_bfs(ctx: Context, k: int, s: int, bound: int) -> set:
 # ----------------------------------------------------------------------------------
 
 
-def _reference_rewrite_plain(ctx: Context, form: LinearForm, pos: int) -> LinearForm:
+def _reference_plain_rewrite(ctx: Context, form: LinearForm, pos: int) -> LinearForm:
     c = form.coeff(pos)
     if c == 0:
         return form
@@ -236,7 +225,7 @@ def reference_close(ctx: Context, lam, seeds, bound: int):
     (forms, converged, pruned)."""
     if lam is None:
         def step(f, p):
-            return _reference_rewrite_plain(ctx, f, p)
+            return _reference_plain_rewrite(ctx, f, p)
     else:
         def step(f, p):
             return _reference_rewrite(ctx, lam, f, p)
@@ -414,7 +403,7 @@ def run_move_checks(ctx: Context, rounds: int, seed: int):
                 for i, level, _color, _dbl in sh.removable_points(ctx):
                     sh2 = sh.inc(ctx, i - 1)
                     # the restored entry sits one above the recorded level
-                    idx, color = reyd_rem_index(ctx, k, s, i, level + 1)
+                    idx, color = reyd_adm_index(ctx, k, s, i - 1, level + 1)
                     if idx < 1:
                         continue
                     diff = reyd_form(ctx, k, sh2, s) - base
@@ -450,7 +439,8 @@ def run_move_checks(ctx: Context, rounds: int, seed: int):
                     if idx < 1:
                         continue
                     diff = wall_form(ctx, k, sh2, s) - base
-                    tally(diff == coupling_form(ctx, idx, color).scaled(-2))
+                    step = coupling_form(ctx, idx, color)
+                    tally(diff == -(step + step))
     return ok, bad
 
 
@@ -476,7 +466,7 @@ def run_rewrite_relation_checks(ctx: Context, lam: dict, rounds: int, seed: int)
             if f.coeff(pos) < 0 and s == 1:
                 want = f - weight_seed(ctx, lam, k)
             else:
-                want = rewrite_plain(ctx, f - LinearForm(const), pos) + LinearForm(const)
+                want = rewrite(ctx, None, f - LinearForm(const), pos) + LinearForm(const)
             if got == want:
                 ok += 1
             else:
