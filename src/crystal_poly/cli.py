@@ -3,7 +3,7 @@
 All subcommands read a JSON config file holding the family code, the rank
 ``n``, the adapted word ``iota_word`` (one period, leftmost entry applied
 first), and optionally a dominant weight ``lambda`` as a color-to-multiplicity
-mapping.  When the ``lambda`` key is absent, vector commands act on the limit
+mapping.  When ``lambda`` is absent or null, vector commands act on the limit
 crystal.
 """
 
@@ -21,6 +21,7 @@ from .inequalities import (
     limit_inequalities,
     membership,
     membership_family,
+    node_cap_error,
     offset_closure_for_color,
     sorted_forms,
     weight_inequalities,
@@ -108,7 +109,7 @@ def cmd_check(ctx: Context, lam: dict | None, args) -> int:
     support = max(x.max_pos(), ctx.n)
     forms, converged = membership_family(ctx, lam, support, margin_periods=2)
     if not converged:
-        raise RuntimeError("inequality generation hit the node cap")
+        raise node_cap_error(ctx, support, 2)
     ok, witness = membership(forms, x)
     if ok:
         print(f"member ({len(forms)} forms checked, support {support})")
@@ -202,7 +203,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         ctx = Context.from_config(cfg)
-        lam = weight_from_config(cfg) if "lambda" in cfg else None
+        lam = None if cfg.get("lambda") is None else weight_from_config(cfg)
         if lam and not set(lam) <= set(ctx.colors()):
             raise ValueError(f"lambda colors {sorted(lam)} must lie in 1..{ctx.n}")
         if getattr(args, "k", None) not in (None, *ctx.colors()):

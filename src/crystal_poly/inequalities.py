@@ -412,6 +412,12 @@ def membership_family(ctx: Context, lam, support: int,
     return frozenset().union(*(r.forms for r in parts)), all(r.converged for r in parts)
 
 
+def node_cap_error(ctx: Context, support: int, margin_periods: int) -> RuntimeError:
+    """The error for a ``membership_family`` call that hit the node cap."""
+    return RuntimeError(f"inequality generation hit the node cap of {node_cap()} forms (support "
+                        f"{support}, closure bound {_bound(ctx, support, margin_periods)})")
+
+
 def epsilon_star_forms(ctx: Context, x, k: int, window: int | None = None) -> int:
     """Starred string value of ``x`` at color ``k``: the maximum of ``-f(x)``
     over the color-k offset closure (clamped at 0, attained by the zero form's

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 from .cartan import Context
 from .crystal import CrystalOps, ZVector
-from .inequalities import membership_family
+from .inequalities import membership_family, node_cap_error
 
 if TYPE_CHECKING:
     import numpy as np
@@ -208,7 +208,7 @@ def _candidate_matrix(support: int, total: int, *, matrix) -> np.ndarray:
 def _feasible_tuples(ctx: Context, lam, depth: int, support: int, margin: int):
     forms, converged = membership_family(ctx, lam, support, margin)
     if not converged:
-        raise RuntimeError("inequality generation hit the node cap")
+        raise node_cap_error(ctx, support, margin)
     matrix = _compile_matrix(forms, support)
     rows = _candidate_matrix(support, depth, matrix=matrix)
     return set(map(tuple, rows.tolist())), len(matrix[0])

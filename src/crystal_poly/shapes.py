@@ -412,18 +412,21 @@ def shape_children(ctx: Context, shape):
     return [t for t in kids if t is not None]
 
 
-_SHAPE_CACHE: dict[tuple, tuple] = {}
-
-
 def enumerate_shapes(ctx: Context, k: int, s: int, bound: int):
     """BFS over single additions from the ground shape, quotiented by form:
     expands one representative shape per distinct form at offset ``s`` whose
-    positions stay inside the bound.
+    positions stay inside the bound.  Returns (frozenset of the distinct
+    forms, converged flag); the ground shape's form is always among them.
+    The node cap counts distinct forms.  Nothing is cached between calls.
 
-    Returns (frozenset of the distinct forms, converged flag); the ground
-    shape's form is always among them.  Children are pruned by the position
-    reach of their own form, so the traversal terminates; the margin built
-    into callers' bounds is validated by the closure-equality checks.
+    Why pruning at the bound itself is exact.  If no move lowers the last
+    position of its form, a form inside the bound is reached only through
+    forms inside it, so the queue at bound B is the subsequence of the queue
+    at any larger bound made of its shapes with forms inside B, with the same
+    representative per form.  That is proven; the premise is checked: a move
+    made here that lowers the last position raises ``RuntimeError``.  Moves
+    out of shapes beyond the bound are never made, so never checked: a
+    margin has the same blind spot past its own bound.
 
     Why one shape per form suffices.  By the one-box move identity, each
     legal move changes the form by plus or minus one coupling form at the
@@ -437,36 +440,31 @@ def enumerate_shapes(ctx: Context, k: int, s: int, bound: int):
     every form of the full shape BFS is checked, not proven: against the
     full BFS over the acceptance grid in the tests, and against the
     rewriting closures by the acceptance gate.
-
-    The node cap counts distinct forms.  Only converged results are cached,
-    keyed by the cap too: a run that converged under one cap need not
-    converge under a lower one.
     """
     cap = node_cap()
-    key = (ctx.family, ctx.n, ctx.word, k, s, bound, cap)
-    cached = _SHAPE_CACHE.get(key)
-    if cached is not None:
-        return cached
     ground = ground_shape(ctx, k)
-    forms = {shape_form(ctx, k, ground, s)}
-    queue = deque([ground])
+    ground_form = shape_form(ctx, k, ground, s)
+    forms = {ground_form}
+    queue = deque([(ground, ground_form.max_pos())])
     converged = True
     while queue:
-        shape = queue.popleft()
+        shape, top = queue.popleft()
         for child in shape_children(ctx, shape):
             form = shape_form(ctx, k, child, s)
-            if form in forms or form.max_pos() > bound:
+            last = form.max_pos()
+            if last < top:
+                raise RuntimeError(f"{shape_kind(ctx, k)} move lowers the last position "
+                                   f"from {top} to {last} ({ctx.family} word {list(ctx.word)}, "
+                                   f"color {k}, offset {s}, bound {bound})")
+            if form in forms or last > bound:
                 continue
             if len(forms) >= cap:
                 converged = False
                 queue.clear()
                 break
             forms.add(form)
-            queue.append(child)
-    result = (frozenset(forms), converged)
-    if converged:
-        _SHAPE_CACHE[key] = result
-    return result
+            queue.append((child, last))
+    return frozenset(forms), converged
 
 
 # --------------------------------------------------------------------------------
@@ -562,11 +560,10 @@ def comb_lambda(ctx: Context, lam: dict[int, int], k: int, window: int):
     if case in ("left", "right"):
         fam = _ladder_family(ctx, k, window, case)
         return frozenset(LinearForm(const) + f for f in fam), True
-    forms, converged = enumerate_shapes(ctx, k, 0, window + 2 * ctx.period)
+    forms, converged = enumerate_shapes(ctx, k, 0, window)
     # at offset 0 every point of the ground shape lies at occurrence index
     # below 1, so its form is the zero form; no other shape has that form
-    return frozenset(LinearForm(const) + f for f in forms
-                     if f != LinearForm.ZERO and f.max_pos() <= window), converged
+    return frozenset(LinearForm(const) + f for f in forms if f != LinearForm.ZERO), converged
 
 
 def comb_infinity(ctx: Context, window: int):
@@ -578,16 +575,12 @@ def comb_infinity(ctx: Context, window: int):
     out = set()
     converged = True
     for k in ctx.colors():
-        forms, ok = enumerate_shapes(ctx, k, 1, window + 2 * ctx.period)
+        forms, ok = enumerate_shapes(ctx, k, 1, window)
         converged = converged and ok
-        for base in forms:
-            delta = 0
-            while True:
-                form = base.shift_periods(ctx.n, delta)
-                if form.max_pos() > window:
-                    break
+        for form in forms:
+            while form.max_pos() <= window:
                 out.add(form)
-                delta += 1
+                form = form.shift_periods(ctx.n, 1)
     return frozenset(out), converged
 
 

@@ -277,7 +277,7 @@ def test_criterion_5_membership_crosscheck_grid():
 
 # ----------------------------------------------------------------------------------
 # Criterion 6: per-color boundary closures equal the closed-form weighted
-# families (plus the trivial form) across the grid.  Budget: 60 seconds.
+# families (plus the trivial form) across the grid.  Budget: 15 seconds.
 # ----------------------------------------------------------------------------------
 
 
@@ -303,7 +303,7 @@ def test_criterion_6_boundary_closures_match_families():
                     combos += 1
         assert combos == 48
         elapsed = time.perf_counter() - t0
-        assert elapsed < 60, f"over budget: {elapsed:.1f}s"
+        assert elapsed < 15, f"over budget: {elapsed:.1f}s"
         return (
             f"closure == closed family for all {combos} (word, weight, color) "
             f"combos ({elapsed:.1f}s)"

@@ -7,7 +7,10 @@ import sys
 
 import pytest
 
+from crystal_poly import shapes
 from crystal_poly.cli import main
+
+from util import with_undo_moves
 
 
 def write_cfg(tmp_path, *, name="cfg.json", family="A1", word=(2, 1, 3), lam=None):
@@ -86,6 +89,15 @@ def test_gen_ineq_node_cap_exit_code(tmp_path, capsys, monkeypatch):
     assert payload["converged"] is False
 
 
+def test_gen_ineq_stops_on_a_move_that_lowers_the_last_position(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(shapes, "shape_children", with_undo_moves(shapes.shape_children))
+    cfg = write_cfg(tmp_path, lam={1: 1})
+    rc = main(["--config", cfg, "gen-ineq", "--mode", "comb", "--k", "3", "--window", "9"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: eyd move lowers the last position from 3 to 0")
+
+
 # ----------------------------------------------------------------------------------
 # check
 # ----------------------------------------------------------------------------------
@@ -118,6 +130,24 @@ def test_check_node_cap_runtime_error(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert rc == 2
     assert "error:" in captured.err
+    # support max(1, n) = 3, closure bound 3 + 2 periods of 3
+    assert "node cap of 5 forms (support 3, closure bound 9)" in captured.err
+
+
+@pytest.mark.parametrize(
+    "lam, member_rc, counts",
+    [({}, 0, [1, 3, 9]), ({"lambda": None}, 0, [1, 3, 9]), ({"lambda": {}}, 1, [1, 0, 0])],
+    ids=["lambda-absent", "lambda-null", "lambda-empty"],
+)
+def test_lambda_null_selects_the_limit_crystal(tmp_path, capsys, lam, member_rc, counts):
+    cfg = {"family": "A1", "n": 3, "iota_word": [2, 1, 3], **lam}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["--config", str(path), "check", "--vector", "[0,1]"]) == member_rc
+    capsys.readouterr()
+    assert main(["--config", str(path), "enumerate", "--depth", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == [f"depth {d}: {c}" for d, c in enumerate(counts)]
 
 
 # ----------------------------------------------------------------------------------
@@ -201,6 +231,17 @@ def test_crosscheck_with_weight_and_window(tmp_path, capsys):
     assert report["matched"] is True
     assert report["lambda"] == {"1": 1}
     assert report["window"] == 7
+
+
+def test_crosscheck_node_cap_names_its_numbers(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CRYSTAL_POLY_NODE_CAP", "5")
+    cfg = write_cfg(tmp_path)
+    rc = main(["--config", cfg, "crosscheck", "--depth", "2"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    # support depth * n = 6, closure bound 6 + 1 period of 3
+    assert captured.err.startswith("error: inequality generation hit the node cap of 5 "
+                                   "forms (support 6, closure bound 9)")
 
 
 @pytest.mark.parametrize("family,word,lam", [("A1", (2, 1, 3), None), ("C1", (1, 2, 3), {1: 1})])

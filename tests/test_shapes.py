@@ -2,6 +2,8 @@
 
 import hashlib
 import random
+import re
+from itertools import permutations
 
 import pytest
 
@@ -41,6 +43,7 @@ from util import (
     make_context,
     mk,
     run_move_checks,
+    with_undo_moves,
 )
 
 
@@ -247,35 +250,90 @@ def test_shape_kind_and_case_dispatch_frozen():
         assert got == table, (fam, word)
 
 
-def test_enumerate_shapes_cached_and_converged():
+def test_enumerate_shapes_reports_a_capped_run(monkeypatch):
     ctx = make_context("A1")
-    a = enumerate_shapes(ctx, 3, 0, 9)
-    b = enumerate_shapes(ctx, 3, 0, 9)
-    assert a is b  # memoized
-    forms, converged = a
-    assert converged
-    assert shape_form(ctx, 3, ground_shape(ctx, 3), 0) in forms
-
-
-def test_enumerate_shapes_never_caches_a_capped_run(monkeypatch):
-    monkeypatch.setattr(shapes, "_SHAPE_CACHE", {})
     monkeypatch.setenv("CRYSTAL_POLY_NODE_CAP", "5")
-    _, converged = comb_lambda(make_context("A1"), {1: 1}, 3, 9)
-    assert not converged
+    forms, converged = enumerate_shapes(ctx, 3, 0, 9)
+    assert not converged and len(forms) == 5  # the cap counts the ground's form
+    family, converged = comb_lambda(ctx, {1: 1}, 3, 9)
+    assert not converged and len(family) == 4  # the ground's zero form dropped
     monkeypatch.delenv("CRYSTAL_POLY_NODE_CAP")
-    family, converged = comb_lambda(make_context("A1"), {1: 1}, 3, 9)
-    assert converged
-    assert len(family) == 53
+    family, converged = comb_lambda(ctx, {1: 1}, 3, 9)
+    assert converged and len(family) == 53
 
 
-def test_enumerate_shapes_cache_is_keyed_by_the_node_cap(monkeypatch):
-    monkeypatch.setattr(shapes, "_SHAPE_CACHE", {})
+# The families pruned at the window against the margin-2 reference: one
+# enumeration per (word, color, offset) two word periods past the largest
+# window, restricted to each window.  The largest windows are 7 for
+# eyd/wall, 4 for reyd and 6 for the limit family, about 2.5 s on one core of
+# a 2-vCPU Xeon; the full grid (11, 7 and 9) takes about 19 s.
+def test_families_pruned_at_the_window_equal_the_margin_two_reference():
+    lam = {1: 1}
+    for fam, word in GRID8:
+        ctx = Context(fam, 3, word)
+        for k in ctx.colors():
+            if comb_lambda_case(ctx, k) != "shapes":
+                continue
+            top = 4 if shape_kind(ctx, k) == "reyd" else 7
+            ref, converged = enumerate_shapes(ctx, k, 0, top + 2 * ctx.period)
+            assert converged
+            for window in range(top + 1):
+                want = {LinearForm(lam.get(k, 0)) + f for f in ref
+                        if f != LinearForm.ZERO and f.max_pos() <= window}
+                got = comb_lambda(ctx, lam, k, window)
+                assert got == (frozenset(want), True), (fam, word, k, window)
+        bases = set()
+        for k in ctx.colors():
+            ref, converged = enumerate_shapes(ctx, k, 1, 6 + 2 * ctx.period)
+            assert converged
+            bases |= ref
+        for window in range(7):
+            # a nonzero form's last position is at least 1, and a shift adds n
+            shifted = {f.shift_periods(ctx.n, d) for f in bases for d in range(window + 1)}
+            want = {f for f in shifted if f.max_pos() <= window}
+            assert comb_infinity(ctx, window) == (frozenset(want), True), (fam, word, window)
+
+
+def test_no_move_of_the_margin_two_bfs_lowers_the_last_position(monkeypatch):
+    """Every move the shape BFS makes two word periods past window 1, at ranks
+    3 (every word) and 4 (four words), every family, color and offset 0 and
+    1, keeps or raises the last position of the form: 18,162 moves, about
+    2.5 s on one core of a 2-vCPU Xeon."""
+    children = shapes.shape_children
+    moves = 0
+    last = {}  # last position of each shape's form, for the current (ctx, k, s)
+
+    def checked(ctx, shape):
+        nonlocal moves
+        top = last[shape] if shape in last else shape_form(ctx, k, shape, s).max_pos()
+        kids = children(ctx, shape)
+        for kid in kids:
+            last[kid] = shape_form(ctx, k, kid, s).max_pos()
+            assert last[kid] >= top, (ctx.word, k, s, shape, kid)
+        moves += len(kids)
+        return kids
+
+    monkeypatch.setattr(shapes, "shape_children", checked)
+    words = {3: list(permutations((1, 2, 3))),
+             4: [(1, 2, 3, 4), (2, 1, 4, 3), (4, 3, 2, 1), (3, 1, 4, 2)]}
+    for fam in ("A1", "A2", "C1", "D2"):
+        for n, ws in words.items():
+            for word in ws:
+                ctx = Context(fam, n, word)
+                for k in ctx.colors():
+                    for s in (0, 1):
+                        last.clear()
+                        assert enumerate_shapes(ctx, k, s, 1 + 2 * ctx.period)[1]
+    assert moves == 18162
+
+
+def test_a_move_that_lowers_the_last_position_raises(monkeypatch):
+    monkeypatch.setattr(shapes, "shape_children", with_undo_moves(shapes.shape_children))
     ctx = make_context("A1")
-    forms, converged = enumerate_shapes(ctx, 3, 0, 9)
-    assert converged and len(forms) > 5
-    monkeypatch.setenv("CRYSTAL_POLY_NODE_CAP", "5")
-    forms, converged = enumerate_shapes(ctx, 3, 0, 9)
-    assert not converged and len(forms) == 5
+    with pytest.raises(RuntimeError, match=re.escape(
+            "eyd move lowers the last position from 3 to 0 (A1 word [2, 1, 3], color 3, "
+            "offset 0, bound 9)")):
+        comb_lambda(ctx, {1: 1}, 3, 9)
 
 
 def test_enumerate_shapes_keeps_every_form_of_the_full_bfs():

@@ -188,6 +188,17 @@ def full_shape_bfs(ctx: Context, k: int, s: int, bound: int) -> set:
     return seen
 
 
+def with_undo_moves(children):
+    """``children`` (a ``shape_children``) plus, from every nonground shape, a
+    move back to the ground of its family: at offset 0 that move lowers the
+    last position of the form to 0, which the shape enumeration must refuse."""
+    def moves(ctx: Context, shape):
+        ground = type(shape)(shape.charge)
+        kids = children(ctx, shape)
+        return kids if shape == ground else kids + [ground]
+    return moves
+
+
 # ----------------------------------------------------------------------------------
 # Reference rewriting closure.
 # ----------------------------------------------------------------------------------
