@@ -250,16 +250,35 @@ def test_shape_kind_and_case_dispatch_frozen():
         assert got == table, (fam, word)
 
 
-def test_enumerate_shapes_reports_a_capped_run(monkeypatch):
+# There is no shape cache: every call enumerates afresh, so a repeated call
+# gives an equal result, a capped run is never reused, and the node cap is
+# read on each call.
+def test_enumerate_shapes_cached_and_converged():
+    ctx = make_context("A1")
+    a = enumerate_shapes(ctx, 3, 0, 9)
+    assert enumerate_shapes(ctx, 3, 0, 9) == a
+    forms, converged = a
+    assert converged
+    assert shape_form(ctx, 3, ground_shape(ctx, 3), 0) in forms
+
+
+def test_enumerate_shapes_never_caches_a_capped_run(monkeypatch):
     ctx = make_context("A1")
     monkeypatch.setenv("CRYSTAL_POLY_NODE_CAP", "5")
-    forms, converged = enumerate_shapes(ctx, 3, 0, 9)
-    assert not converged and len(forms) == 5  # the cap counts the ground's form
     family, converged = comb_lambda(ctx, {1: 1}, 3, 9)
     assert not converged and len(family) == 4  # the ground's zero form dropped
     monkeypatch.delenv("CRYSTAL_POLY_NODE_CAP")
     family, converged = comb_lambda(ctx, {1: 1}, 3, 9)
     assert converged and len(family) == 53
+
+
+def test_enumerate_shapes_cache_is_keyed_by_the_node_cap(monkeypatch):
+    ctx = make_context("A1")
+    forms, converged = enumerate_shapes(ctx, 3, 0, 9)
+    assert converged and len(forms) > 5
+    monkeypatch.setenv("CRYSTAL_POLY_NODE_CAP", "5")
+    forms, converged = enumerate_shapes(ctx, 3, 0, 9)
+    assert not converged and len(forms) == 5  # the cap counts the ground's form
 
 
 # The families pruned at the window against the margin-2 reference: one
