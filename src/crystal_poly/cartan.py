@@ -11,7 +11,8 @@ Families are identified by short codes over a common color set ``I = {1..n}``:
 Besides the Cartan matrices this module provides the periodic *folded color
 patterns* used by the diagram/wall combinatorics, the order matrix ``p`` of an
 embedding word, and :class:`Context`, which bundles everything needed by the
-other modules (position arithmetic, periodic shift and wall-slot tables).
+other modules (position arithmetic, the per-residue pairing table, periodic
+shift and wall-slot tables).
 """
 
 from __future__ import annotations
@@ -183,6 +184,9 @@ class Context:
         # Every table below repeats with its pattern's period: one period per
         # color is built here, and nothing grows later.
         fp, wp, colors = self.fold_period, 2 * n - 2, self.colors()
+        # <h_k, alpha_c> for the color c at each position residue (p - 1) % n
+        self.residue_pairing = {
+            k: tuple(self.cartan[k - 1][c - 1] for c in self.word) for k in colors}
         self._fold = tuple(fold_color(self.machinery, n, t) for t in range(1, fp + 1))
         self._up = {k: self._steps(self.fold, k, 1, fp) for k in colors}
         self._down = {k: self._steps(self.fold, k, -1, fp) for k in colors}

@@ -3,25 +3,45 @@
 Elements live in the ambient space of almost-zero integer sequences indexed by
 word positions.  For a dominant weight the operators implement the tensor rule
 with the one-point weight crystal; with no weight (``lam=None``) they realize
-the limit crystal where the lowering operators always act.
+the limit crystal where the lowering operators always act.  Every operator and
+structure function reads one signature kernel, which works on a vector's dense
+row (its entries at positions 1..max_pos).
 """
 
 from __future__ import annotations
 
 import ast
-from bisect import bisect_right
+from itertools import accumulate, compress, cycle
+from operator import mul, sub
 
 from .cartan import Context
 
 
-class ZVector:
-    """Immutable sparse vector: position (>=1) -> nonzero integer entry.
+def _plus(row: tuple, pos: int, delta: int) -> tuple:
+    """The dense row with ``delta`` (nonzero) added at ``pos`` (>= 1),
+    trailing zeros dropped."""
+    top = len(row)
+    if pos > top:
+        return row + (0,) * (pos - top - 1) + (delta,)
+    v = row[pos - 1] + delta
+    if v or pos < top:
+        return row[:pos - 1] + (v,) + row[pos:]
+    row = row[:pos - 1]  # the last entry vanished
+    while row and not row[-1]:
+        row = row[:-1]
+    return row
 
+
+class ZVector:
+    """Immutable integer vector on positions 1, 2, ..., almost all entries 0.
+
+    Stored as its dense row: the tuple of entries at positions 1..max_pos(),
+    whose last entry is nonzero, so that equal vectors have equal rows.
     Entries may be negative (the ambient space allows it); vectors reachable
     from zero by lowering operators stay nonnegative.
     """
 
-    __slots__ = ("_e", "_h")
+    __slots__ = ("_row",)
 
     def __init__(self, entries=None):
         e = {}
@@ -32,10 +52,20 @@ class ZVector:
                 raise ValueError(f"positions start at 1, got {p}")
             if v:
                 e[p] = v
-        self._e = e
-        self._h = hash(frozenset(e.items()))
+        row = [0] * max(e, default=0)
+        for p, v in e.items():
+            row[p - 1] = v
+        self._row = tuple(row)
 
     ZERO: "ZVector"
+
+    @staticmethod
+    def _make(row: tuple) -> "ZVector":
+        """A vector from its dense row, a tuple of ints whose last entry is
+        nonzero: nothing is re-checked."""
+        res = object.__new__(ZVector)
+        res._row = row
+        return res
 
     @staticmethod
     def from_list(values) -> "ZVector":
@@ -63,55 +93,55 @@ class ZVector:
         raise ValueError(f"cannot parse vector from {text!r}")
 
     def get(self, pos: int) -> int:
-        return self._e.get(pos, 0)
+        row = self._row
+        return row[pos - 1] if 0 < pos <= len(row) else 0
 
     def items(self):
-        return self._e.items()
+        """(position, entry) of the nonzero entries, by position."""
+        return compress(enumerate(self._row, 1), self._row)
 
     def positions(self):
-        return self._e.keys()
+        return compress(range(1, len(self._row) + 1), self._row)
 
     def size(self) -> int:
-        return sum(self._e.values())
+        return sum(self._row)
 
     def max_pos(self) -> int:
-        return max(self._e, default=0)
+        return len(self._row)
 
     def is_zero(self) -> bool:
-        return not self._e
+        return not self._row
 
     def nonnegative(self) -> bool:
-        return all(v > 0 for v in self._e.values())
+        return min(self._row, default=0) >= 0
 
     def with_delta(self, pos: int, delta: int) -> "ZVector":
-        e = dict(self._e)
-        v = e.get(pos, 0) + delta
-        if v:
-            e[pos] = v
-        else:
-            e.pop(pos, None)
-        return ZVector(e)
+        if not delta:
+            return self
+        if pos < 1:
+            raise ValueError(f"positions start at 1, got {pos}")
+        return ZVector._make(_plus(self._row, pos, delta))
 
     def to_sk(self, ctx: Context) -> dict[tuple[int, int], int]:
-        return {ctx.sk_of(p): v for p, v in sorted(self._e.items())}
+        return {ctx.sk_of(p): v for p, v in self.items()}
 
     def to_tuple(self, upto: int) -> tuple[int, ...]:
-        return tuple(self._e.get(p, 0) for p in range(1, upto + 1))
+        return self._row[:upto] + (0,) * (upto - len(self._row))
 
     def render(self, ctx: Context) -> str:
-        if not self._e:
+        if not self._row:
             return "0"
         parts = [f"({s},{k}):{v}" for (s, k), v in self.to_sk(ctx).items()]
         return "{" + ", ".join(parts) + "}"
 
     def __eq__(self, other):
-        return isinstance(other, ZVector) and self._e == other._e
+        return isinstance(other, ZVector) and self._row == other._row
 
     def __hash__(self):
-        return self._h
+        return hash(self._row)
 
     def __repr__(self):
-        inside = ", ".join(f"{p}: {v}" for p, v in sorted(self._e.items()))
+        inside = ", ".join(f"{p}: {v}" for p, v in self.items())
         return "ZVector({" + inside + "})"
 
 
@@ -132,38 +162,29 @@ class CrystalOps:
     def lam_pairing(self, k: int) -> int:
         return 0 if self.lam is None else self.lam.get(k, 0)
 
-    # ---- signature sums --------------------------------------------------------
-    def _profile(self, x: ZVector, k: int):
-        """Signature data for color k.
+    # ---- signature kernel ------------------------------------------------------
+    def _signature(self, row: tuple, k: int, last: bool = False):
+        """Color-k signature of a dense row: ``(smax, total, pos)``.
 
-        Returns ``(values, positions, coupling_total)`` where ``positions``
-        are the color-k positions up to the first one past the support (the
-        sum vanishes from there on, so the scan window is complete) and
-        ``values[i]`` is the entry at ``positions[i]`` plus the pairing-weighted
-        tail of the support strictly to its right.
+        ``total`` is the pairing-weighted entry sum, ``<h_k, alpha_color(q)>``
+        times the entry at q summed over every position q.  The signature value
+        at a color-k position p is the entry at p plus that weighted sum over
+        the positions right of p.  Values are taken at every color-k position
+        up to the first one past the row: there the value is 0, and it stays 0
+        further out, so the scan is complete.  ``smax`` is the largest value
+        and ``pos`` the first position attaining it (the last one with
+        ``last``).
         """
         ctx = self.ctx
-        sup = sorted(x.items())
-        pairrow = ctx.cartan[k - 1]
-        # suffix[i] = sum of <h_k, alpha_color(q)> * x_q over support index >= i
-        suffix = [0] * (len(sup) + 1)
-        for i in range(len(sup) - 1, -1, -1):
-            p, v = sup[i]
-            suffix[i] = suffix[i + 1] + pairrow[ctx.color_of(p) - 1] * v
-        sup_pos = [p for p, _ in sup]
-        top = sup_pos[-1] if sup_pos else 0
-        positions = []
-        p = ctx.first_pos(k)
-        while True:
-            positions.append(p)
-            if p > top:
-                break
-            p += ctx.period
-        values = []
-        for p in positions:
-            j = bisect_right(sup_pos, p)
-            values.append(x.get(p) + suffix[j])
-        return values, positions, suffix[0]
+        n, f = ctx.n, ctx.first_pos(k)
+        # prefix[p] = weighted sum over positions 1..p
+        prefix = [*accumulate(map(mul, row, cycle(ctx.residue_pairing[k])), initial=0)]
+        total = prefix[-1]
+        # value minus total at the color-k positions inside the row, then past it
+        shifted = [*map(sub, row[f - 1::n], prefix[f::n]), -total]
+        best = max(shifted)
+        j = len(shifted) - 1 - shifted[::-1].index(best) if last else shifted.index(best)
+        return best + total, total, f + j * n
 
     def _floor(self, k: int, coupling_total: int):
         """Threshold the signature maximum competes with (None = minus infinity)."""
@@ -173,48 +194,46 @@ class CrystalOps:
 
     # ---- crystal structure functions -------------------------------------------
     def epsilon(self, x: ZVector, k: int) -> int:
-        values, _, total = self._profile(x, k)
-        smax = max(values)
+        smax, total, _ = self._signature(x._row, k)
         floor = self._floor(k, total)
         return smax if floor is None else max(smax, floor)
 
     def weight_pairing(self, x: ZVector, k: int) -> int:
         """``<h_k, wt(x)>``."""
-        _, _, total = self._profile(x, k)
+        _, total, _ = self._signature(x._row, k)
         return self.lam_pairing(k) - total
 
     def phi(self, x: ZVector, k: int) -> int:
-        values, _, total = self._profile(x, k)
-        smax = max(values)
-        floor = self._floor(k, total)
-        eps = smax if floor is None else max(smax, floor)
-        return eps + self.lam_pairing(k) - total
+        return self.epsilon(x, k) + self.weight_pairing(x, k)
 
     def weight_coeffs(self, x: ZVector) -> tuple[int, ...]:
         """Per-color totals; the weight of x is lam minus these along the roots."""
-        out = [0] * self.ctx.n
-        for p, v in x.items():
-            out[self.ctx.color_of(p) - 1] += v
+        n, word = self.ctx.n, self.ctx.word  # word[r]: the color at residue r
+        out = [0] * n
+        for r, c in enumerate(word):
+            out[c - 1] = sum(x._row[r::n])
         return tuple(out)
 
     # ---- operators ---------------------------------------------------------------
-    def apply_f(self, x: ZVector, k: int) -> ZVector | None:
-        values, positions, total = self._profile(x, k)
-        smax = max(values)
+    def _lower(self, row: tuple, k: int) -> tuple | None:
+        """f_k on a dense row, None when it gives 0: lowering adds one at the
+        first position achieving the signature maximum."""
+        smax, total, pos = self._signature(row, k)
         floor = self._floor(k, total)
         if floor is not None and smax <= floor:
             return None
-        # lowering acts at the first position achieving the maximum
-        return x.with_delta(positions[values.index(smax)], +1)
+        return _plus(row, pos, 1)
+
+    def apply_f(self, x: ZVector, k: int) -> ZVector | None:
+        row = self._lower(x._row, k)
+        return None if row is None else ZVector._make(row)
 
     def apply_e(self, x: ZVector, k: int) -> ZVector | None:
-        values, positions, total = self._profile(x, k)
-        smax = max(values)
+        smax, total, pos = self._signature(x._row, k, last=True)
         if smax <= 0:
             return None
         floor = self._floor(k, total)
         if floor is not None and smax < floor:
             return None
         # raising acts at the last position achieving the maximum
-        idx = len(values) - 1 - values[::-1].index(smax)
-        return x.with_delta(positions[idx], -1)
+        return x.with_delta(pos, -1)

@@ -72,10 +72,13 @@ class LinearForm:
         return self._terms[-1][0] if self._terms else 0
 
     def evaluate(self, x: ZVector) -> int:
-        get = x._e.get  # the entry dict's own lookup: no Python call per term
+        row = x._row  # the entries at positions 1..len(row), zero past it
+        top = len(row)
         total = self.constant
         for p, c in self._terms:
-            total += c * get(p, 0)
+            if p > top:
+                break  # terms are sorted by position
+            total += c * row[p - 1]
         return total
 
     def __add__(self, other: "LinearForm") -> "LinearForm":
@@ -428,7 +431,8 @@ def epsilon_star_forms(ctx: Context, x, k: int, window: int | None = None) -> in
     res = offset_closure_for_color(ctx, k, window)
     if not res.converged:
         raise RuntimeError(
-            f"offset closure for color {k} did not converge at window {window}; "
+            f"offset closure for color {k} hit the node cap of {node_cap()} forms "
+            f"(window {window}, closure bound {_bound(ctx, window)}); "
             "raise CRYSTAL_POLY_NODE_CAP or lower the window")
     best = 0
     for form in res.forms:

@@ -34,23 +34,31 @@ def generate_closure(ops: CrystalOps, depth: int):
     """Vectors reachable from the origin by at most ``depth`` lowering steps.
 
     Returns (set of vectors, levels list).  Each lowering step grows the entry
-    sum by exactly one, so level d holds precisely the size-d elements.
+    sum by exactly one, so level d holds precisely the size-d elements, and a
+    child of level d can only repeat another child of level d: each level is
+    deduplicated on its own.
+
+    The search runs on the vectors' dense rows (see ``ZVector``), so a step
+    builds and hashes one tuple; once the search ends the rows of each level
+    become vectors in place.
     """
-    seen = {ZVector.ZERO}
-    level = [ZVector.ZERO]
-    levels = [list(level)]
     colors = ops.ctx.colors()
+    lower = ops._lower
+    level = [()]
+    levels = [level]
     for _ in range(depth):
-        nxt = []
-        for x in level:
+        seen, nxt = set(), []
+        for row in level:
             for k in colors:
-                y = ops.apply_f(x, k)
+                y = lower(row, k)
                 if y is not None and y not in seen:
                     seen.add(y)
                     nxt.append(y)
         levels.append(nxt)
         level = nxt
-    return seen, levels
+    for level in levels:
+        level[:] = map(ZVector._make, level)
+    return set(chain.from_iterable(levels)), levels
 
 
 def weight_graded_counts(ops: CrystalOps, depth: int) -> dict[tuple[int, ...], int]:
@@ -115,10 +123,11 @@ def random_reachable(ops: CrystalOps, rng, depth: int) -> ZVector:
     """A random walk of at most ``depth`` lowering steps from the origin."""
     x = ZVector.ZERO
     for _ in range(depth):
-        ks = [k for k in ops.ctx.colors() if ops.apply_f(x, k) is not None]
-        if not ks:
+        # each color's child once, in color order: the seeded draws depend on it
+        children = [y for y in (ops.apply_f(x, k) for k in ops.ctx.colors()) if y is not None]
+        if not children:
             break
-        x = ops.apply_f(x, rng.choice(ks))
+        x = rng.choice(children)
     return x
 
 

@@ -171,6 +171,28 @@ def test_enumerate_fundamental(tmp_path, capsys):
     assert lines[:4] == ["depth 0: 1", "depth 1: 1", "depth 2: 2", "total: 4"]
 
 
+# sha256 of the whole enumerate output, recorded with the sparse operators
+# that preceded the dense-row kernel: (family, word, lambda, depth, digest)
+ENUMERATE_DIGESTS = [
+    ("A1", (2, 1, 3), None, 14, "bfe44bd1505c52f7a745b046fe580de73bf11ec2dfffd7eae56fb9588c7c1ed9"),
+    ("A1", (2, 1, 3), {1: 1}, 10, "bcccb77df26ee6e2f1966b424406d2299fdda1c5978b7102fbff7a4d51d8f362"),
+    ("C1", (1, 2, 3), None, 9, "fd45a12b3d799db4bf354aa34abd45289325e1b54ed11c1099a65d863237a2c1"),
+    ("D2", (1, 2, 3), {1: 1, 2: 1}, 8, "ab8afe846675c331d25a31eb223cb9bc3a0843cc610dbacafee470a46d79a757"),
+]
+
+
+def test_enumerate_matches_golden_outputs(tmp_path, capsys):
+    for family, word, lam, depth, want in ENUMERATE_DIGESTS:
+        cfg = write_cfg(tmp_path, family=family, word=word, lam=lam)
+        assert main(["--config", cfg, "enumerate", "--depth", str(depth)]) == 0
+        out = capsys.readouterr().out
+        if depth == 14:
+            counts = [1, 3, 9, 21, 48, 99, 198, 375, 693, 1236, 2160, 3681, 6168, 10140, 16434]
+            assert out.splitlines()[:16] == [
+                *(f"depth {d}: {c}" for d, c in enumerate(counts)), "total: 41266"]
+        assert hashlib.sha256(out.encode()).hexdigest() == want, (family, word, lam, depth)
+
+
 # ----------------------------------------------------------------------------------
 # epsilon-star
 # ----------------------------------------------------------------------------------

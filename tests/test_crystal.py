@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from crystal_poly import CrystalOps, ZVector
+from crystal_poly import CrystalOps, ZVector, generate_closure
 
-from util import make_context, run_axiom_checks
+from util import DEFAULT_WORDS, make_context, reference_operators, run_axiom_checks
 
 
 # ----------------------------------------------------------------------------------
@@ -53,6 +53,9 @@ def test_with_delta_is_functional():
     assert y.is_zero()
     assert x == ZVector({2: 1})  # original untouched
     assert x.with_delta(4, 3) == ZVector({2: 1, 4: 3})
+    # the last entry vanishing drops every trailing zero
+    y = ZVector({1: -2, 5: 1}).with_delta(5, -1)
+    assert y == ZVector({1: -2}) and y.max_pos() == 1 and hash(y) == hash(ZVector({1: -2}))
 
 
 # ----------------------------------------------------------------------------------
@@ -117,6 +120,41 @@ def test_operators_stop_at_dead_ends():
     once = ops.apply_f(ZVector.ZERO, 1)
     assert once is not None and ops.apply_f(once, 1) is None
     assert ops.apply_e(ZVector.ZERO, 1) is None
+
+
+# ----------------------------------------------------------------------------------
+# The dense-row kernel against the sparse reference
+# ----------------------------------------------------------------------------------
+
+
+def _ambient_vectors(rng, count):
+    """Random vectors with gaps and negative entries, the zero vector among them."""
+    out = [ZVector.ZERO]
+    for _ in range(count):
+        size = rng.randint(1, 6)
+        out.append(ZVector({rng.randint(1, 15): rng.randint(-3, 4) for _ in range(size)}))
+    return out
+
+
+@pytest.mark.parametrize("family", sorted(DEFAULT_WORDS))
+@pytest.mark.parametrize("lam", [None, {1: 1}, {1: 1, 2: 1}])
+def test_operators_match_the_sparse_reference(family, lam):
+    ctx = make_context(family)
+    ops = CrystalOps(ctx, lam)
+    closure, _ = generate_closure(ops, 5)
+    vectors = sorted(closure, key=repr) + _ambient_vectors(random.Random(20261019), 150)
+    assert any(not x.nonnegative() for x in vectors)
+    for x in vectors:
+        for k in ctx.colors():
+            got = {name: getattr(ops, name)(x, k) for name in
+                   ("apply_f", "apply_e", "epsilon", "phi", "weight_pairing")}
+            assert got == reference_operators(ops, x, k), (x, k)
+
+
+def test_weight_coeffs_sums_each_color():
+    ctx = make_context("A2")  # word 2,1,3
+    x = ZVector({1: 2, 2: -1, 4: 5, 6: 1, 8: 3})
+    assert CrystalOps(ctx, None).weight_coeffs(x) == (-1 + 3, 2 + 5, 1)
 
 
 # ----------------------------------------------------------------------------------

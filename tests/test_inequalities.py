@@ -173,6 +173,16 @@ def test_plain_rewrite_branches():
     assert rewrite(ctx, None, v, 99) == v  # zero coefficient: no-op
 
 
+def test_plain_step_can_lower_the_last_position():
+    # a plain step can undo the step before it, and that lowers the last position
+    ctx = make_context("A1")  # word 2,1,3: x[1,2] sits at position 1
+    up = rewrite(ctx, None, variable(1), 1)
+    assert up == mk(ctx, {(1, 1): 1, (1, 3): 1, (2, 2): -1})
+    assert up.render(ctx) == "x[1,1] + x[1,3] - x[2,2]" and up.max_pos() == 4
+    back = rewrite(ctx, None, up, 4)
+    assert back == variable(ctx.pos_of(1, 2)) and back.max_pos() == 1
+
+
 def test_rewrite_boundary_step_consumes_seed():
     ctx = make_context("A1")
     lam = {1: 1, 2: 2, 3: 3}
@@ -415,6 +425,18 @@ def test_epsilon_star_forms_frozen():
     assert [epsilon_star_forms(ctx, x, k) for k in ctx.colors()] == [1, 3, 0]
     # explicit window consistent with the default
     assert epsilon_star_forms(ctx, x, 2, window=12) == 3
+
+
+def test_epsilon_star_forms_node_cap_error_names_its_numbers(monkeypatch):
+    monkeypatch.setenv("CRYSTAL_POLY_NODE_CAP", "50")
+    ctx = make_context("A1")
+    x = ZVector.from_list([3, 3, 2, 3, 2, 1])
+    with pytest.raises(RuntimeError) as err:
+        epsilon_star_forms(ctx, x, 3)
+    # window max(6, 3) + 3 = 9, closure bound 9 + 2 periods = 15
+    assert str(err.value) == (
+        "offset closure for color 3 hit the node cap of 50 forms (window 9, closure "
+        "bound 15); raise CRYSTAL_POLY_NODE_CAP or lower the window")
 
 
 # ----------------------------------------------------------------------------------

@@ -151,6 +151,36 @@ def test_epsilon_star_forms_match_oracle_sample(family):
 # ----------------------------------------------------------------------------------
 
 
+def _two_pass_random_reachable(ops, rng, depth):
+    """The walk random_reachable made when it lowered every chosen color twice:
+    once to list the colors that lower, once more to step."""
+    x = ZVector.ZERO
+    for _ in range(depth):
+        ks = [k for k in ops.ctx.colors() if ops.apply_f(x, k) is not None]
+        if not ks:
+            break
+        x = ops.apply_f(x, rng.choice(ks))
+    return x
+
+
+@pytest.mark.parametrize("family,word", GRID8)
+def test_random_reachable_draws_the_two_pass_walk(family, word, monkeypatch):
+    ctx = make_context(family, word)
+    for lam in (None, {1: 1}, {}):
+        ops = CrystalOps(ctx, lam)
+        want = [_two_pass_random_reachable(ops, random.Random(seed), 12) for seed in range(20)]
+        calls = []
+        apply_f = CrystalOps.apply_f
+        monkeypatch.setattr(CrystalOps, "apply_f",
+                            lambda self, x, k: calls.append(k) or apply_f(self, x, k))
+        got = [random_reachable(ops, random.Random(seed), 12) for seed in range(20)]
+        monkeypatch.undo()
+        assert got == want
+        # one lowering per color and step taken
+        steps = sum(x.size() for x in got) + sum(x.size() < 12 for x in got)
+        assert len(calls) == ctx.n * steps
+
+
 @pytest.mark.parametrize("family", ["A1", "A2", "C1", "D2"])
 def test_random_reachable_vectors_satisfy_inequalities(family):
     ctx = make_context(family)

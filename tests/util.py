@@ -9,6 +9,7 @@ the brute-force operator oracle before being frozen here.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from collections import deque
 
 import numpy as np
@@ -322,6 +323,70 @@ def reference_feasible(coeffs, consts, support: int, depth: int) -> set:
 # ----------------------------------------------------------------------------------
 # Reusable randomized checkers.
 # ----------------------------------------------------------------------------------
+
+
+# The sparse signature scan CrystalOps ran before its dense-row kernel, kept
+# as the reference for it.
+def reference_profile(ops: CrystalOps, x: ZVector, k: int):
+    """Signature data for color k.
+
+    Returns ``(values, positions, coupling_total)`` where ``positions``
+    are the color-k positions up to the first one past the support (the
+    sum vanishes from there on, so the scan window is complete) and
+    ``values[i]`` is the entry at ``positions[i]`` plus the pairing-weighted
+    tail of the support strictly to its right.
+    """
+    ctx = ops.ctx
+    sup = sorted(x.items())
+    pairrow = ctx.cartan[k - 1]
+    # suffix[i] = sum of <h_k, alpha_color(q)> * x_q over support index >= i
+    suffix = [0] * (len(sup) + 1)
+    for i in range(len(sup) - 1, -1, -1):
+        p, v = sup[i]
+        suffix[i] = suffix[i + 1] + pairrow[ctx.color_of(p) - 1] * v
+    sup_pos = [p for p, _ in sup]
+    top = sup_pos[-1] if sup_pos else 0
+    positions = []
+    p = ctx.first_pos(k)
+    while True:
+        positions.append(p)
+        if p > top:
+            break
+        p += ctx.period
+    values = []
+    for p in positions:
+        j = bisect_right(sup_pos, p)
+        values.append(x.get(p) + suffix[j])
+    return values, positions, suffix[0]
+
+
+def _moved(x: ZVector, pos: int, delta: int) -> ZVector:
+    """x with delta added at pos, through the checked constructor."""
+    entries = dict(x.items())
+    entries[pos] = entries.get(pos, 0) + delta
+    return ZVector(entries)
+
+
+def reference_operators(ops: CrystalOps, x: ZVector, k: int) -> dict:
+    """``apply_f``, ``apply_e``, ``epsilon``, ``phi`` and ``weight_pairing``
+    of x at color k, each computed from ``reference_profile`` by the rules
+    CrystalOps applied to it."""
+    values, positions, total = reference_profile(ops, x, k)
+    smax = max(values)
+    lam_k = ops.lam_pairing(k)
+    floor = None if ops.lam is None else -lam_k + total
+    eps = smax if floor is None else max(smax, floor)
+    lowered = None
+    if floor is None or smax > floor:
+        # lowering acts at the first position achieving the maximum
+        lowered = _moved(x, positions[values.index(smax)], +1)
+    raised = None
+    if smax > 0 and (floor is None or smax >= floor):
+        # raising acts at the last position achieving the maximum
+        idx = len(values) - 1 - values[::-1].index(smax)
+        raised = _moved(x, positions[idx], -1)
+    return {"apply_f": lowered, "apply_e": raised, "epsilon": eps,
+            "phi": eps + lam_k - total, "weight_pairing": lam_k - total}
 
 
 # The depth-first search over every raising path that reaches_origin ran
