@@ -12,14 +12,23 @@ Besides the Cartan matrices this module provides the periodic *folded color
 patterns* used by the diagram/wall combinatorics, the order matrix ``p`` of an
 embedding word, and :class:`Context`, which bundles everything needed by the
 other modules (position arithmetic, the per-residue pairing table, periodic
-shift and wall-slot tables).
+shift and wall-slot tables), and ``node_cap()``, the budget every search reads.
 """
 
 from __future__ import annotations
 
+import os
 from itertools import accumulate
 
 FAMILIES = ("A1", "C1", "A2", "D2")
+
+DEFAULT_NODE_CAP = 10**6
+
+
+def node_cap() -> int:
+    """The node budget of every search (``CRYSTAL_POLY_NODE_CAP``)."""
+    return int(os.environ.get("CRYSTAL_POLY_NODE_CAP", DEFAULT_NODE_CAP))
+
 
 _DUAL = {"A1": "A1", "C1": "D2", "D2": "C1", "A2": "A2"}
 

@@ -10,11 +10,10 @@ row (its entries at positions 1..max_pos).
 
 from __future__ import annotations
 
-import ast
 from itertools import accumulate, compress, cycle
 from operator import mul, sub
 
-from .cartan import Context
+from .cartan import Context, node_cap
 
 
 def _plus(row: tuple, pos: int, delta: int) -> tuple:
@@ -74,14 +73,21 @@ class ZVector:
 
     @staticmethod
     def parse(text: str, ctx: Context) -> "ZVector":
-        """Parse ``[a1,a2,...]`` (position order) or ``{(s,k): v, ...}``."""
+        """Parse ``[a1,a2,...]`` (position order) or ``{(s,k): v, ...}``.
+
+        A nonzero entry past position ``node_cap()`` is refused before any
+        row is allocated: deciding membership of such a vector starts from
+        more variables than the cap lets a closure keep.
+        """
+        import ast  # only the commands that read a vector need it
+
         try:
             obj = ast.literal_eval(text.strip())
         except (ValueError, SyntaxError) as exc:
             raise ValueError(f"cannot parse vector from {text!r}") from exc
         if isinstance(obj, (list, tuple)):
-            return ZVector.from_list(obj)
-        if isinstance(obj, dict):
+            out = {p: int(v) for p, v in enumerate(obj, 1)}
+        elif isinstance(obj, dict):
             out = {}
             for key, v in obj.items():
                 if isinstance(key, tuple) and len(key) == 2:
@@ -89,8 +95,14 @@ class ZVector:
                     out[ctx.pos_of(int(s), int(k))] = int(v)
                 else:
                     out[int(key)] = int(v)
-            return ZVector(out)
-        raise ValueError(f"cannot parse vector from {text!r}")
+        else:
+            raise ValueError(f"cannot parse vector from {text!r}")
+        top = max((p for p, v in out.items() if v), default=0)
+        limit = node_cap()
+        if top > limit:
+            raise ValueError(f"vector position {top} lies past the limit of {limit} "
+                             "positions (the node cap, CRYSTAL_POLY_NODE_CAP)")
+        return ZVector(out)
 
     def get(self, pos: int) -> int:
         row = self._row

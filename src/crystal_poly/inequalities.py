@@ -12,19 +12,12 @@ of the realizations are closures of small seed sets under two rewriting steps:
 
 from __future__ import annotations
 
-import os
 from collections import deque
-from itertools import compress
-from operator import add
+from itertools import compress, starmap
+from operator import getitem
 
-from .cartan import Context
+from .cartan import Context, node_cap
 from .crystal import ZVector
-
-DEFAULT_NODE_CAP = 10**6
-
-
-def node_cap() -> int:
-    return int(os.environ.get("CRYSTAL_POLY_NODE_CAP", DEFAULT_NODE_CAP))
 
 
 class LinearForm:
@@ -270,58 +263,107 @@ class ClosureResult:
         return frozenset(f for f in self.forms if f.max_pos() <= window)
 
 
+_BIAS = 128  # a coefficient c is stored as the byte c + _BIAS
+_SPAN = 63  # the coefficients of an expanded row and of a step: |c| <= _SPAN
+_OUT = 3
+# class of a coefficient byte: 0 zero, 1 positive, 2 negative, _OUT past +-_SPAN
+_CLASSES = bytes(0 if v == _BIAS else _OUT if abs(v - _BIAS) > _SPAN else
+                 1 if v > _BIAS else 2 for v in range(256))
+
+
+class _Pairs(dict):
+    """The (position, coefficient) pairs at one position, keyed by the
+    coefficient byte; each is built once, so the forms of a closure share
+    them."""
+
+    __slots__ = ("pos",)
+
+    def __init__(self, pos: int):
+        self.pos = pos
+
+    def __missing__(self, byte: int) -> tuple[int, int]:
+        pair = self[byte] = (self.pos, byte - _BIAS)
+        return pair
+
+
+def _span_error(coeff: int, pos: int) -> RuntimeError:
+    return RuntimeError(f"closure coefficient {coeff} at position {pos} is outside "
+                        f"the packed-row limit of +-{_SPAN}")
+
+
 def _close(seeds, delta, bound: int) -> ClosureResult:
     """Breadth-first closure of ``seeds`` under the step ``delta`` (see
     ``_delta``), keeping forms whose last position is at most ``bound``.
 
-    Inside the search a form is a dense row: the constant, then one
-    coefficient per position ``1..width``, where ``width`` is the bound or
-    the last seed position if that lies further out.  A step's form depends
-    only on (position, sign), so each is built once per call, as a dense row
-    in a table keyed by the signed position (``pos`` or ``-pos``), and a step
-    adds two rows entry by entry.  A step form reaching past ``width`` is kept
-    as the empty row: every step by it leaves the bound, so it counts as
-    pruned and builds nothing.  A form that leaves the bound counts as pruned;
-    once ``node_cap()`` forms are kept the search stops, unconverged.  The
-    kept rows become ``LinearForm``s once, at the end, sharing their
-    (position, coefficient) pairs.
+    Inside the search a form is one packed ``int``, its row: byte ``p - 1``
+    holds the coefficient at position ``p`` plus ``_BIAS``, for ``p`` in
+    ``1..width`` (``width`` is the bound, or the last seed position if that
+    lies further out), and the constant, of any size, sits above those
+    bytes.  A step's form depends only on (position, sign), so each is
+    packed once per call, when first needed, with unbiased coefficients; a
+    step is then one integer addition.  Translating a row's bytes through
+    ``_CLASSES`` gives its nonzero positions and their signs.
+
+    No carry: the addition is exact byte by byte as long as every sum stays
+    in ``0..255``.  Seeds and step forms must have coefficients within
+    ``+-_SPAN`` (63), and each row is checked for that when it is taken from
+    the queue, before any step is added to it; a child's coefficients then
+    lie within ``+-2 * _SPAN``, bytes ``1..255``.  A coefficient past the
+    span raises ``RuntimeError`` naming it, its position and the limit, so
+    a row never wraps into its neighbour.
+
+    A step form reaching past ``width`` counts as pruned and builds
+    nothing.  A form that leaves the bound counts as pruned; once
+    ``node_cap()`` forms are kept the search stops, unconverged.  The kept
+    rows become ``LinearForm``s once, at the end, sharing their (position,
+    coefficient) pairs.
     """
     cap = node_cap()
     start = set(seeds)
     width = max([bound] + [f.max_pos() for f in start])
+    shift = 8 * width  # the constant's offset
+    mask = (1 << shift) - 1  # the coefficient bytes
+    zero = int.from_bytes(bytes([_BIAS]) * width, "little")
 
-    def dense(form: LinearForm) -> tuple:
-        row = [0] * (width + 1)
-        row[0] = form.constant
+    def pack(form: LinearForm) -> int:
+        row = form.constant << shift
         for p, c in form.terms:
-            row[p] = c
-        return tuple(row)
+            if abs(c) > _SPAN:
+                raise _span_error(c, p)
+            row += c << (8 * p - 8)
+        return row
 
-    past = ()  # the row of a step form reaching past width
-    table: dict[int, tuple | None] = {0: None}  # the constant takes no step
-    queue = deque(map(dense, start))
+    past = ()  # a step form reaching past width: falsy like "no move", but pruned
+    unset = object()
+    # per position: [position, step for a positive, step for a negative coefficient]
+    slots = [[p, unset, unset] for p in range(1, width + 1)]
+    queue = deque(zero + pack(f) for f in start)
     seen = set(queue)
-    tail = bound + 1 if width > bound else 0  # rows may hold terms past the bound
+    # rows may hold terms past the bound when the seeds do
+    tail = mask ^ ((1 << 8 * bound) - 1)
+    tail_zero = zero & tail
     pruned = 0
     converged = True
     while queue:
-        form = queue.popleft()
-        for pos, c in compress(enumerate(form), form):
-            key = pos if c > 0 else -pos
-            try:
-                row = table[key]
-            except KeyError:
-                d = delta(pos, c > 0)
-                row = table[key] = (None if d is None else
-                                    past if d.max_pos() > width else dense(d))
-            if not row:
-                if row is past:
+        row = queue.popleft()
+        classes = (row & mask).to_bytes(width, "little").translate(_CLASSES)
+        if _OUT in classes:
+            i = classes.index(_OUT)
+            raise _span_error(((row >> 8 * i) & 255) - _BIAS, i + 1)
+        for slot, sign in compress(zip(slots, classes), classes):
+            step = slot[sign]
+            if step is unset:
+                d = delta(slot[0], sign == 1)
+                step = slot[sign] = (None if d is None else
+                                     past if d.max_pos() > width else pack(d))
+            if not step:
+                if step is past:
                     pruned += 1
                 continue
-            new = tuple(map(add, form, row))
+            new = row + step
             if new in seen:
                 continue
-            if tail and any(new[tail:]):
+            if tail and new & tail != tail_zero:
                 pruned += 1
                 continue
             if len(seen) >= cap:
@@ -330,14 +372,13 @@ def _close(seeds, delta, bound: int) -> ClosureResult:
                 break
             seen.add(new)
             queue.append(new)
-    pairs: dict[tuple[int, int], tuple[int, int]] = {}
-    share = pairs.setdefault
+    pairs = [_Pairs(p) for p in range(1, width + 1)]
     forms = []
     while seen:  # popping frees each row once it is converted
         row = seen.pop()
-        coeffs = row[1:]
-        terms = list(compress(enumerate(coeffs, 1), coeffs))
-        forms.append(LinearForm._make(row[0], tuple(map(share, terms, terms))))
+        coeffs = (row & mask).to_bytes(width, "little")
+        terms = starmap(getitem, compress(zip(pairs, coeffs), coeffs.translate(_CLASSES)))
+        forms.append(LinearForm._make(row >> shift, tuple(terms)))
     return ClosureResult(forms, converged, pruned)
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from crystal_poly import shapes
 from crystal_poly.cli import main
+from crystal_poly.crystal import ZVector
 
 from util import with_undo_moves
 
@@ -132,6 +133,20 @@ def test_check_node_cap_runtime_error(tmp_path, capsys, monkeypatch):
     assert "error:" in captured.err
     # support max(1, n) = 3, closure bound 3 + 2 periods of 3
     assert "node cap of 5 forms (support 3, closure bound 9)" in captured.err
+
+
+def test_vector_position_past_the_node_cap_exits_2_before_allocating(
+        tmp_path, capsys, monkeypatch):
+    def no_row(self, entries=None):
+        raise AssertionError("a vector row was allocated")
+
+    monkeypatch.setattr(ZVector, "__init__", no_row)
+    cfg = write_cfg(tmp_path)
+    for command in ("check", "epsilon-star"):
+        assert main(["--config", cfg, command, "--vector", "{1000000000: 1}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: vector position 1000000000 lies past the limit "
+                              "of 1000000 positions")
 
 
 @pytest.mark.parametrize(
@@ -355,6 +370,27 @@ def test_cli_subprocess_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[:2] == ["depth 0: 1", "depth 1: 3"]
+
+
+# Runs the CLI on its arguments, then reports on stderr whether numpy was imported.
+_NUMPY_PROBE = """
+import sys
+from crystal_poly.cli import main
+rc = main(sys.argv[1:])
+print("numpy" in sys.modules, rc, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-ineq", "--mode", "sprime", "--window", "4"],
+    ["gen-ineq", "--mode", "comb", "--k", "1", "--window", "6"],
+    ["check", "--vector", "[0, 1]"],
+], ids=["gen-ineq-sprime", "gen-ineq-comb", "check"])
+def test_cli_commands_without_crosscheck_do_not_import_numpy(tmp_path, argv):
+    cfg = write_cfg(tmp_path, lam={1: 1})
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, "--config", cfg, *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stderr.splitlines()[-1] == "False 0"
 
 
 # ----------------------------------------------------------------------------------

@@ -47,6 +47,17 @@ def test_zvector_parse_both_notations():
         ZVector.parse("7", ctx)
 
 
+def test_zvector_parse_refuses_positions_past_the_node_cap(monkeypatch):
+    monkeypatch.setenv("CRYSTAL_POLY_NODE_CAP", "50")
+    ctx = make_context("A1")  # word 2,1,3: (17,1) is position 50, (17,3) is 51
+    assert ZVector.parse("{50: 1}", ctx).max_pos() == 50
+    assert ZVector.parse("{(17,1): 1}", ctx).max_pos() == 50
+    assert ZVector.parse(str([1] + [0] * 60), ctx).max_pos() == 1  # trailing zeros
+    for text in ("{51: 1}", "{(17,3): 1}", str([0] * 50 + [1])):
+        with pytest.raises(ValueError, match="position 51 lies past the limit of 50"):
+            ZVector.parse(text, ctx)
+
+
 def test_with_delta_is_functional():
     x = ZVector({2: 1})
     y = x.with_delta(2, -1)

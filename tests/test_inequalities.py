@@ -263,7 +263,7 @@ def _closure_cases(ctx, window):
 @pytest.mark.parametrize("family,word", GRID8)
 def test_close_matches_reference_driver(family, word):
     ctx = make_context(family, word)
-    for window in (3, 4, 6):
+    for window in (1, 2, 3, 4, 6):  # at 1 and 2 the "past" seeds take the tail path
         for name, res, lam, seeds in _closure_cases(ctx, window):
             want = reference_close(ctx, lam, seeds, _bound(ctx, window))
             assert (res.forms, res.converged, res.pruned) == want, (name, window)
@@ -280,6 +280,45 @@ def test_close_matches_reference_driver_when_capped(family, word, monkeypatch):
             assert (res.forms, res.converged, res.pruned) == want, (name, window)
             if name in ("limit", "weight"):
                 assert not res.converged and len(res.forms) == 50
+
+
+@pytest.mark.parametrize("lam", [{1: 1000}, {1: 70, 2: 70}])
+@pytest.mark.parametrize("family,word", GRID8)
+def test_close_matches_reference_driver_with_constants_past_a_byte(family, word, lam):
+    ctx = make_context(family, word)
+    bound = _bound(ctx, 3)
+    variables = [variable(p) for p in range(1, bound + 1)]
+    weight = [weight_seed(ctx, lam, k) for k in ctx.colors()]
+    for seeds in [variables + weight] + [[seed] for seed in weight]:
+        res = _close(seeds, _delta(ctx, lam), bound)
+        assert (res.forms, res.converged, res.pruned) == reference_close(ctx, lam, seeds, bound)
+        assert res.converged
+        assert max(f.constant for f in res.forms) == max(f.constant for f in seeds)
+
+
+def test_close_keeps_coefficients_at_the_edge_of_the_packed_span():
+    def step(pos, positive):
+        if not positive:
+            return None
+        return {1: LinearForm(0, {1: -1, 2: 63}), 2: LinearForm(0, {2: -63, 3: -63})}.get(pos)
+
+    res = _close([variable(1)], step, 4)
+    assert res.forms == {variable(1), LinearForm(0, {2: 63}), LinearForm(0, {3: -63})}
+    assert res.converged and res.pruned == 0
+
+
+def test_close_refuses_coefficients_outside_the_packed_span():
+    def grow(pos, positive):  # the coefficient at pos runs 1, 41, 81, ...
+        return LinearForm(0, {pos: 40}) if positive else None
+
+    with pytest.raises(RuntimeError, match=r"coefficient 81 at position 2 is outside "
+                                           r"the packed-row limit of \+-63"):
+        _close([variable(2)], grow, 4)
+    # a step or a seed outside the span is refused before it is added
+    with pytest.raises(RuntimeError, match="coefficient 64 at position 1 "):
+        _close([variable(1)], lambda pos, positive: LinearForm(0, {pos: 64}), 4)
+    with pytest.raises(RuntimeError, match="coefficient -200 at position 3 "):
+        _close([LinearForm(0, {3: -200})], grow, 4)
 
 
 def test_node_cap_stops_generation(monkeypatch):
