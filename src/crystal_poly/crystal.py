@@ -16,6 +16,23 @@ from operator import mul, sub
 from .cartan import Context, node_cap
 
 
+def _dense(entries) -> tuple:
+    """The dense row of a ``{position: value}`` mapping (or None): the tuple of
+    values at positions 1..max, zeros dropped from the end.  Positions must
+    be >= 1."""
+    e = {}
+    for p, v in (entries or {}).items():
+        p, v = int(p), int(v)
+        if p < 1:
+            raise ValueError(f"positions start at 1, got {p}")
+        if v:
+            e[p] = v
+    row = [0] * max(e, default=0)
+    for p, v in e.items():
+        row[p - 1] = v
+    return tuple(row)
+
+
 def _plus(row: tuple, pos: int, delta: int) -> tuple:
     """The dense row with ``delta`` (nonzero) added at ``pos`` (>= 1),
     trailing zeros dropped."""
@@ -43,18 +60,7 @@ class ZVector:
     __slots__ = ("_row",)
 
     def __init__(self, entries=None):
-        e = {}
-        for p, v in (entries or {}).items():
-            p = int(p)
-            v = int(v)
-            if p < 1:
-                raise ValueError(f"positions start at 1, got {p}")
-            if v:
-                e[p] = v
-        row = [0] * max(e, default=0)
-        for p, v in e.items():
-            row[p - 1] = v
-        self._row = tuple(row)
+        self._row = _dense(entries)
 
     ZERO: "ZVector"
 
@@ -73,28 +79,40 @@ class ZVector:
 
     @staticmethod
     def parse(text: str, ctx: Context) -> "ZVector":
-        """Parse ``[a1,a2,...]`` (position order) or ``{(s,k): v, ...}``.
+        """Parse ``[a1,a2,...]`` (position order) or ``{(s,k): v, ...}``
+        (keys may also be positions).
 
-        A nonzero entry past position ``node_cap()`` is refused before any
-        row is allocated: deciding membership of such a vector starts from
-        more variables than the cap lets a closure keep.
+        Entries, positions, occurrences ``s`` and colors ``k`` must be
+        integers, with ``s >= 1`` and ``k`` in ``1..n``; anything else is a
+        ``ValueError``.  A nonzero entry past position ``node_cap()`` is
+        refused before any row is allocated: deciding membership of such a
+        vector starts from more variables than the cap lets a closure keep.
         """
         import ast  # only the commands that read a vector need it
 
+        def integer(v):
+            if type(v) is not int:
+                raise ValueError(f"vector entries and keys must be integers or (s,k) "
+                                 f"pairs of integers, got {v!r}")
+            return v
+
         try:
             obj = ast.literal_eval(text.strip())
-        except (ValueError, SyntaxError) as exc:
+        except (ValueError, TypeError, SyntaxError) as exc:
             raise ValueError(f"cannot parse vector from {text!r}") from exc
         if isinstance(obj, (list, tuple)):
-            out = {p: int(v) for p, v in enumerate(obj, 1)}
+            out = {p: integer(v) for p, v in enumerate(obj, 1)}
         elif isinstance(obj, dict):
             out = {}
             for key, v in obj.items():
                 if isinstance(key, tuple) and len(key) == 2:
-                    s, k = key
-                    out[ctx.pos_of(int(s), int(k))] = int(v)
-                else:
-                    out[int(key)] = int(v)
+                    s, k = map(integer, key)
+                    if k not in ctx.colors():
+                        raise ValueError(f"vector color {k} must lie in 1..{ctx.n}")
+                    if s < 1:
+                        raise ValueError(f"vector occurrence {s} must be at least 1")
+                    key = ctx.pos_of(s, k)
+                out[integer(key)] = integer(v)
         else:
             raise ValueError(f"cannot parse vector from {text!r}")
         top = max((p for p, v in out.items() if v), default=0)

@@ -13,141 +13,98 @@ of the realizations are closures of small seed sets under two rewriting steps:
 from __future__ import annotations
 
 from collections import deque
-from itertools import compress, starmap
-from operator import getitem
+from itertools import compress
+from operator import add, mul, neg
 
 from .cartan import Context, node_cap
-from .crystal import ZVector
+from .crystal import ZVector, _dense
 
 
 class LinearForm:
-    """Immutable exact-integer affine form on sparse vectors."""
+    """Immutable exact-integer affine form on sparse vectors.
 
-    __slots__ = ("constant", "_terms", "_h")
+    Stored like ``ZVector``: the constant and the dense row, the tuple of
+    coefficients at positions 1..max_pos(), whose last entry is nonzero, so
+    that equal forms have equal rows.
+    """
+
+    __slots__ = ("constant", "_row", "_h")
 
     def __init__(self, constant: int = 0, terms=None):
-        clean = {}
-        for p, c in (terms or {}).items():
-            if c:
-                if p < 1:
-                    raise ValueError(f"positions start at 1, got {p}")
-                clean[p] = int(c)
         self.constant = int(constant)
-        self._terms = tuple(sorted(clean.items()))
-        self._h = hash((self.constant, self._terms))
+        self._row = _dense(terms)
+        self._h = hash((self.constant, self._row))
 
     ZERO: "LinearForm"
 
     @staticmethod
-    def _make(constant: int, terms: tuple) -> "LinearForm":
-        """A form from terms already sorted by position, positions >= 1 and
-        coefficients nonzero: nothing is re-checked."""
+    def _make(constant: int, row: tuple) -> "LinearForm":
+        """A form from its constant and dense row, a tuple of ints whose last
+        entry is nonzero: nothing is re-checked."""
         res = object.__new__(LinearForm)
         res.constant = constant
-        res._terms = terms
-        res._h = hash((constant, terms))
+        res._row = row
+        res._h = hash((constant, row))
         return res
 
     @property
     def terms(self) -> tuple[tuple[int, int], ...]:
-        return self._terms
+        """(position, coefficient) of the nonzero coefficients, by position."""
+        return tuple(compress(enumerate(self._row, 1), self._row))
 
     def coeff(self, pos: int) -> int:
-        for p, c in self._terms:
-            if p == pos:
-                return c
-        return 0
+        row = self._row
+        return row[pos - 1] if 0 < pos <= len(row) else 0
 
     def positions(self):
-        return [p for p, _ in self._terms]
+        return list(compress(range(1, len(self._row) + 1), self._row))
 
     def max_pos(self) -> int:
-        return self._terms[-1][0] if self._terms else 0
+        return len(self._row)
 
     def evaluate(self, x: ZVector) -> int:
-        row = x._row  # the entries at positions 1..len(row), zero past it
-        top = len(row)
-        total = self.constant
-        for p, c in self._terms:
-            if p > top:
-                break  # terms are sorted by position
-            total += c * row[p - 1]
-        return total
+        # both rows are zero past their ends, so map stops at the shorter one
+        return self.constant + sum(map(mul, self._row, x._row))
 
     def __add__(self, other: "LinearForm") -> "LinearForm":
-        """Merge of the two sorted term tuples, dropping zero sums.  Both
-        operands are valid forms, so the sum's positions stay >= 1, sorted and
-        with nonzero coefficients, and nothing needs re-checking."""
-        a, b = self._terms, other._terms
-        na, nb = len(a), len(b)
-        out = []
-        i = j = 0
-        while i < na and j < nb:
-            pa, ca = a[i]
-            pb, cb = b[j]
-            if pa < pb:
-                out.append(a[i])
-                i += 1
-            elif pb < pa:
-                out.append(b[j])
-                j += 1
-            else:
-                c = ca + cb
-                if c:
-                    out.append((pa, c))
-                i += 1
-                j += 1
-        out.extend(a[i:])
-        out.extend(b[j:])
-        return LinearForm._make(self.constant + other.constant, tuple(out))
+        """Elementwise sum of the rows, trailing zeros dropped."""
+        a, b = self._row, other._row
+        if len(a) < len(b):
+            a, b = b, a
+        row = (*map(add, a, b), *a[len(b):])
+        end = len(row)
+        while end and not row[end - 1]:
+            end -= 1
+        return LinearForm._make(self.constant + other.constant, row[:end])
 
     def __sub__(self, other: "LinearForm") -> "LinearForm":
         return self + -other
 
     def __neg__(self) -> "LinearForm":
-        """Negated coefficients at the same positions: still a valid form."""
-        return LinearForm._make(-self.constant, tuple((p, -c) for p, c in self._terms))
+        return LinearForm._make(-self.constant, tuple(map(neg, self._row)))
 
     def shift_periods(self, period: int, delta: int) -> "LinearForm":
         """Translate every position by ``delta`` word periods."""
-        if delta == 0:
-            return self
-        return LinearForm(
-            self.constant, {p + delta * period: c for p, c in self._terms}
-        )
+        return LinearForm(self.constant, {p + delta * period: c for p, c in self.terms})
 
     def sort_key(self):
         """Deterministic order: max position, then coefficient string, constant."""
-        m = self.max_pos()
-        dense = tuple(dict(self._terms).get(p, 0) for p in range(1, m + 1))
-        return (m, dense, self.constant)
+        return (len(self._row), self._row, self.constant)
 
     def render(self, ctx: Context) -> str:
-        if not self._terms and not self.constant:
-            return "0"
-        bits = []
-        for p, c in self._terms:
-            s, k = ctx.sk_of(p)
-            mag = abs(c)
-            var = f"x[{s},{k}]" if mag == 1 else f"{mag}*x[{s},{k}]"
-            if not bits:
-                bits.append(var if c > 0 else f"-{var}")
-            else:
-                bits.append(("+ " if c > 0 else "- ") + var)
+        bits = [("- " if c < 0 else "+ ") + ("" if abs(c) == 1 else f"{abs(c)}*")
+                + "x[%d,%d]" % ctx.sk_of(p) for p, c in self.terms]
         if self.constant or not bits:
-            mag = abs(self.constant)
-            if not bits:
-                bits.append(str(self.constant))
-            else:
-                bits.append(("+ " if self.constant > 0 else "- ") + str(mag))
-        return " ".join(bits)
+            bits.append(("- " if self.constant < 0 else "+ ") + str(abs(self.constant)))
+        text = " ".join(bits)  # the first sign loses its space, a leading "+" goes
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def to_json(self, ctx: Context) -> dict:
         return {
             "constant": self.constant,
             "terms": [
                 {"s": ctx.occurrence_of(p), "k": ctx.color_of(p), "coeff": c}
-                for p, c in self._terms
+                for p, c in self.terms
             ],
         }
 
@@ -155,14 +112,14 @@ class LinearForm:
         return (
             isinstance(other, LinearForm)
             and self.constant == other.constant
-            and self._terms == other._terms
+            and self._row == other._row
         )
 
     def __hash__(self):
         return self._h
 
     def __repr__(self):
-        inside = " ".join(f"{c:+d}*x{p}" for p, c in self._terms)
+        inside = " ".join(f"{c:+d}*x{p}" for p, c in self.terms)
         return f"LinearForm({self.constant} {inside})".rstrip()
 
 
@@ -269,21 +226,8 @@ _OUT = 3
 # class of a coefficient byte: 0 zero, 1 positive, 2 negative, _OUT past +-_SPAN
 _CLASSES = bytes(0 if v == _BIAS else _OUT if abs(v - _BIAS) > _SPAN else
                  1 if v > _BIAS else 2 for v in range(256))
-
-
-class _Pairs(dict):
-    """The (position, coefficient) pairs at one position, keyed by the
-    coefficient byte; each is built once, so the forms of a closure share
-    them."""
-
-    __slots__ = ("pos",)
-
-    def __init__(self, pos: int):
-        self.pos = pos
-
-    def __missing__(self, byte: int) -> tuple[int, int]:
-        pair = self[byte] = (self.pos, byte - _BIAS)
-        return pair
+# a coefficient byte as the coefficient's two's-complement byte
+_SIGNED = bytes((v - _BIAS) & 255 for v in range(256))
 
 
 def _span_error(coeff: int, pos: int) -> RuntimeError:
@@ -315,8 +259,8 @@ def _close(seeds, delta, bound: int) -> ClosureResult:
     A step form reaching past ``width`` counts as pruned and builds
     nothing.  A form that leaves the bound counts as pruned; once
     ``node_cap()`` forms are kept the search stops, unconverged.  The kept
-    rows become ``LinearForm``s once, at the end, sharing their (position,
-    coefficient) pairs.
+    rows become ``LinearForm``s once, at the end: their bytes, unbiased and
+    stripped of trailing zeros, are the forms' dense rows.
     """
     cap = node_cap()
     start = set(seeds)
@@ -327,10 +271,10 @@ def _close(seeds, delta, bound: int) -> ClosureResult:
 
     def pack(form: LinearForm) -> int:
         row = form.constant << shift
-        for p, c in form.terms:
+        for i, c in enumerate(form._row):
             if abs(c) > _SPAN:
-                raise _span_error(c, p)
-            row += c << (8 * p - 8)
+                raise _span_error(c, i + 1)
+            row += c << 8 * i
         return row
 
     past = ()  # a step form reaching past width: falsy like "no move", but pruned
@@ -372,13 +316,11 @@ def _close(seeds, delta, bound: int) -> ClosureResult:
                 break
             seen.add(new)
             queue.append(new)
-    pairs = [_Pairs(p) for p in range(1, width + 1)]
     forms = []
     while seen:  # popping frees each row once it is converted
         row = seen.pop()
-        coeffs = (row & mask).to_bytes(width, "little")
-        terms = starmap(getitem, compress(zip(pairs, coeffs), coeffs.translate(_CLASSES)))
-        forms.append(LinearForm._make(row >> shift, tuple(terms)))
+        coeffs = (row & mask).to_bytes(width, "little").translate(_SIGNED).rstrip(b"\0")
+        forms.append(LinearForm._make(row >> shift, tuple(memoryview(coeffs).cast("b"))))
     return ClosureResult(forms, converged, pruned)
 
 
@@ -466,7 +408,10 @@ def epsilon_star_forms(ctx: Context, x, k: int, window: int | None = None) -> in
     """Starred string value of ``x`` at color ``k``: the maximum of ``-f(x)``
     over the color-k offset closure (clamped at 0, attained by the zero form's
     limit).  Every closure element is a valid inequality, so enlarging the
-    window can only raise the computed value toward the true one."""
+    window can only raise the computed value toward the true one.  A vector
+    with a negative entry is refused; membership is not checked otherwise."""
+    if not x.nonnegative():
+        raise ValueError("vector has negative entries")
     if window is None:
         window = max(x.max_pos(), ctx.period) + ctx.period
     res = offset_closure_for_color(ctx, k, window)
@@ -487,12 +432,16 @@ def epsilon_star_forms(ctx: Context, x, k: int, window: int | None = None) -> in
 
 
 def first_violation_positivity(ctx: Context, forms) -> tuple[LinearForm, int] | None:
-    """First form with a negative coefficient at some first-occurrence position."""
-    for form in sorted_forms(forms):
-        for p in range(1, ctx.period + 1):
-            if form.coeff(p) < 0:
-                return form, p
-    return None
+    """First form, in ``sorted_forms`` order, with a negative coefficient at
+    some first-occurrence position, and the first such position.  Like
+    ``membership``, it takes the smallest violator by the (injective)
+    ``LinearForm.sort_key`` without sorting the family."""
+    period = ctx.period
+    violated = [form for form in forms if min(form._row[:period], default=0) < 0]
+    if not violated:
+        return None
+    form = min(violated, key=LinearForm.sort_key)
+    return form, next(p for p in range(1, period + 1) if form.coeff(p) < 0)
 
 
 def check_positivity(ctx: Context, forms) -> bool:

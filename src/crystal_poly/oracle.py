@@ -151,24 +151,14 @@ def _compile_matrix(forms, support: int):
     import numpy as np  # here, not at module level: only a cross-check pays for it
 
     forms = list(forms)
-    terms = list(map(attrgetter("terms"), forms))
-    lengths = np.fromiter(map(len, terms), np.int64, len(forms))
-    flat = np.fromiter(chain.from_iterable(chain.from_iterable(terms)),
-                       np.int64, 2 * int(lengths.sum())).reshape(-1, 2)
+    pad = (0,) * support
+    coeffs = np.fromiter(chain.from_iterable((f._row + pad)[:support] for f in forms),
+                         np.int64, len(forms) * support).reshape(len(forms), support)
     consts = np.fromiter(map(attrgetter("constant"), forms), np.int64, len(forms))
-    row = np.repeat(np.arange(len(forms)), lengths)
-    inside = flat[:, 0] <= support
-    # a row can go negative only through its constant or a negative
-    # coefficient inside the box; only those rows are made dense
-    keep = consts < 0
-    keep[row[inside & (flat[:, 1] < 0)]] = True
-    fill = inside & keep[row]
-    # the kept terms, each with the index of its row among the kept rows
-    row, flat = (np.cumsum(keep) - 1)[row[fill]], flat[fill]
-    coeffs = np.zeros((int(keep.sum()), support), dtype=np.int64)
-    coeffs[row, flat[:, 0] - 1] = flat[:, 1]
-    consts = consts[keep]
-    del forms, terms, row, flat, inside, fill  # freed before the sort copies rows
+    del forms
+    # a row can go negative only through its constant or a negative coefficient
+    keep = (consts < 0) | (coeffs < 0).any(axis=1)
+    coeffs, consts = coeffs[keep], consts[keep]
     # columns read: one past the last active column, 0 when none is active
     width = ((coeffs != 0) * np.arange(1, support + 1)).max(axis=1, initial=0)
     # lexsort's primary key is its last row: the columns read, then the

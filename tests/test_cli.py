@@ -235,6 +235,14 @@ def test_epsilon_star_single_color_forms_only(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "k=2: forms=3"
 
 
+def test_epsilon_star_forms_refuses_a_negative_entry(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    rc = main(["--config", cfg, "epsilon-star", "--vector", "[-1]", "--method", "forms"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == "error: vector has negative entries\n"
+
+
 def test_epsilon_star_rejects_non_member(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     rc = main(
@@ -290,6 +298,41 @@ def test_crosscheck_at_depth_zero_scans_the_empty_box(tmp_path, capsys, family, 
     assert report["matched"] is True
     assert report["support_positions"] == 0
     assert report["candidates"] == report["feasible"] == report["closure"] == 1
+
+
+# sha256 of the crosscheck --depth 3 report, "seconds" dropped and keys sorted,
+# for each acceptance-grid word without a weight and at lambda = omega_1: it
+# pins the compiled matrix through active_forms and the feasible count, not
+# only the match.
+CROSSCHECK_DIGESTS = {
+    ("A1", "213", None): "c669e25d5af259a2c7442ef434b576381fb468b99c4e3114a035126cf6962e7b",
+    ("A1", "213", 1): "346c08c59fd21bbe619f72f728143115209d4981afc75d9d558559d5ce8e567e",
+    ("A1", "123", None): "353dec9456b7c0cac61ffbf1b9b103f86e0e687c6e55d04174e7d61b489c4a90",
+    ("A1", "123", 1): "c90f378ddd77146913d51a13e7eec03f2fd43dc105f8321ea9d2d951dd6ac04b",
+    ("A2", "213", None): "268e3d9c5cec6be186ac6ac2e38925c2fc58c24b308a09d9b12e3de54c3ac551",
+    ("A2", "213", 1): "2f6d1576bb011d5fb7383fe95ae5738648b87eb79e6f193cfafb710a80aefe24",
+    ("A2", "321", None): "a471d569503ea4aac4426523071ce264ac09d2d247d5cb8c49166b0e344a38a3",
+    ("A2", "321", 1): "7fb4d61aac7d081bcc917cffe1f9e866bd576b1d0e5c77e270bb538004f0ce89",
+    ("C1", "123", None): "6b8f6775b92e7cf57611f121c67b77340272cef964b390161a2bccc6b7b9ee04",
+    ("C1", "123", 1): "385d43a2a342e10a5677689f7be6dce50658f6429a5a9cef85a4d594ec4b35cb",
+    ("C1", "321", None): "e5842a672ab1d77ea52b101ee8e3b44ad38ef1f95860d2b1bbb4dcad2b7296bf",
+    ("C1", "321", 1): "c82576d121dce434b6b68b892a7dbadc969087fd7a37e3e75a1a1d948e04163d",
+    ("D2", "123", None): "001d45ee98f634c52963f55e4bb7d502435cb3cc2a835e122c852ed87c484c1c",
+    ("D2", "123", 1): "50ffd00fe6aa748ea6b1264fce80b15de68871b56f69560a4dfee37669426975",
+    ("D2", "213", None): "89d03961f7e27621b58492570b5641b0e80930697f2415045c021ec8b18fa059",
+    ("D2", "213", 1): "7f2dd4f3d26201adaf75472246a3a44c9efe3dde8a77bb5f0d3a45835d2cef2e",
+}
+
+
+def test_crosscheck_matches_golden_digests(tmp_path, capsys):
+    for (family, word, omega), want in CROSSCHECK_DIGESTS.items():
+        lam = None if omega is None else {omega: 1}
+        cfg = write_cfg(tmp_path, family=family, word=tuple(map(int, word)), lam=lam)
+        assert main(["--config", cfg, "crosscheck", "--depth", "3"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        del report["seconds"]
+        got = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+        assert got == want, (family, word, lam)
 
 
 # ----------------------------------------------------------------------------------
@@ -435,12 +478,18 @@ BASE_CFG = {"family": "A1", "n": 3, "iota_word": [2, 1, 3]}
         ({**BASE_CFG, "n": None}, ["enumerate", "--depth", "1"], "n must"),
         ({**BASE_CFG, "lambda": [1]}, ["enumerate", "--depth", "1"], "lambda"),
         ({**BASE_CFG, "lambda": {"1": None}}, ["enumerate", "--depth", "1"], "lambda"),
+        (BASE_CFG, ["check", "--vector", "{(1,7): 1}"], "color 7 must lie in 1..3"),
+        (BASE_CFG, ["check", "--vector", "{(1,1,1): 1}"], "got (1, 1, 1)"),
+        (BASE_CFG, ["check", "--vector", "[None]"], "got None"),
+        (BASE_CFG, ["check", "--vector", "[1.5]"], "got 1.5"),
+        (BASE_CFG, ["check", "--vector", "{(0,1): 1}"], "occurrence 0 must be at least 1"),
     ],
     ids=["config-missing", "config-lacks-n", "config-lacks-word", "gen-ineq-k-outside",
          "epsilon-star-k-outside", "enumerate-negative-depth", "crosscheck-negative-depth",
          "crosscheck-negative-window", "crosscheck-over-candidate-limit",
          "config-word-not-a-list", "config-n-null", "config-lambda-not-an-object",
-         "config-lambda-value-null"],
+         "config-lambda-value-null", "vector-color-outside", "vector-key-triple",
+         "vector-entry-none", "vector-entry-float", "vector-occurrence-zero"],
 )
 def test_unusable_input_exits_2(tmp_path, capsys, cfg, argv, says):
     path = tmp_path / "cfg.json"

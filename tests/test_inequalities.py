@@ -72,10 +72,28 @@ def _dict_sum(a, b, sign=1):
     return LinearForm(a.constant + sign * b.constant, t)
 
 
+def _check_dense_reads(rng, f):
+    """The dense row reads like the form's terms: coefficients, evaluation,
+    the terms round trip and the hand-built sort key of sparse forms."""
+    terms = dict(f.terms)
+    again = LinearForm(f.constant, terms)
+    assert again == f and hash(again) == hash(f) and again.terms == f.terms
+    assert list(terms) == sorted(terms) and all(terms.values())
+    m = f.max_pos()
+    assert m == max(terms, default=0)
+    assert f.coeff(0) == 0 and f.coeff(m + 1) == 0 and f.coeff(m + 7) == 0
+    assert [f.coeff(p) for p in range(1, m + 1)] == [terms.get(p, 0) for p in range(1, m + 1)]
+    assert f.sort_key() == (m, tuple(terms.get(p, 0) for p in range(1, m + 1)), f.constant)
+    for size in (0, m // 2, m, m + 4):  # vectors shorter than, as long as, longer than f
+        x = ZVector.from_list([rng.randrange(-2, 4) for _ in range(size)])
+        assert f.evaluate(x) == f.constant + sum(c * x.get(p) for p, c in terms.items())
+
+
 def test_add_matches_dict_sum():
     rng = random.Random(5)
     for _ in range(300):
         f, g = _random_form(rng), _random_form(rng)
+        _check_dense_reads(rng, f)
         neg = LinearForm(-f.constant, {p: -c for p, c in f.terms})
         assert -f == neg and hash(-f) == hash(neg) and (-f).terms == neg.terms
         cases = [(f, g), (f, -f), (g, -g)]
@@ -87,6 +105,7 @@ def test_add_matches_dict_sum():
                 assert got == want
                 assert hash(got) == hash(want)
                 assert got.terms == want.terms
+                _check_dense_reads(rng, got)
     assert LinearForm(2, {3: 1, 5: -2}) + LinearForm(-2, {3: -1, 5: 2}) == LinearForm.ZERO
     f = LinearForm(0, {2: 1, 7: 4})
     dropped = f + LinearForm(0, {7: -4})
@@ -466,6 +485,13 @@ def test_epsilon_star_forms_frozen():
     assert epsilon_star_forms(ctx, x, 2, window=12) == 3
 
 
+def test_epsilon_star_forms_refuses_a_negative_entry():
+    ctx = make_context("A1")
+    for x in (ZVector.from_list([-1]), ZVector.from_list([3, 0, -1])):
+        with pytest.raises(ValueError, match="vector has negative entries"):
+            epsilon_star_forms(ctx, x, 1)
+
+
 def test_epsilon_star_forms_node_cap_error_names_its_numbers(monkeypatch):
     monkeypatch.setenv("CRYSTAL_POLY_NODE_CAP", "50")
     ctx = make_context("A1")
@@ -491,6 +517,18 @@ def test_positivity_checks():
     hit = first_violation_positivity(ctx, [bad])
     assert hit == (bad, ctx.pos_of(1, 1))
     assert not check_positivity(ctx, [bad])
+
+
+def test_first_violation_positivity_takes_the_smallest_violator():
+    ctx = make_context("A1")  # word 2,1,3: first occurrences at positions 1..3
+    smaller = LinearForm(0, {2: 1, 3: -1})
+    larger = LinearForm(5, {1: 1, 2: -2, 3: 1})
+    fine = LinearForm(-1, {1: 1, 4: -1})
+    assert smaller.sort_key() < larger.sort_key()
+    for forms in ([larger, smaller, fine], [fine, smaller, larger], {larger, smaller, fine}):
+        assert first_violation_positivity(ctx, forms) == (smaller, 3)
+    assert first_violation_positivity(ctx, [larger, fine]) == (larger, 2)
+    assert first_violation_positivity(ctx, [fine]) is None
 
 
 def test_offset_closure_seed_is_only_negative_start():
