@@ -102,13 +102,11 @@ def fold_color(family: str, n: int, t: int) -> int:
 
 
 def wall_color(n: int, t: int) -> int:
-    """Color of the ``t``-th wall band in the vertical stacking pattern.
-
-    Period ``2n-2``: up ``1..n`` then down ``n-1..2``.  Only meaningful for
-    the two twisted machineries, where walls exist.
+    """Color of the ``t``-th wall band in the vertical stacking pattern: the
+    C1 folded pattern, period ``2n-2``, up ``1..n`` then down ``n-1..2``.
+    Only meaningful for the two twisted machineries, where walls exist.
     """
-    m = ((t - 1) % (2 * n - 2)) + 1
-    return m if m <= n else 2 * n - m
+    return fold_color("C1", n, t)
 
 
 def special_colors(machinery: str, n: int) -> frozenset[int]:
@@ -118,32 +116,6 @@ def special_colors(machinery: str, n: int) -> frozenset[int]:
     if machinery == "D2":
         return frozenset({1, n})
     return frozenset()
-
-
-def check_adapted(cartan: tuple[tuple[int, ...], ...], word) -> bool:
-    """True if the periodic word is adapted to the Cartan data.
-
-    For every coupled pair of colors (negative off-diagonal entry) the
-    subsequence of the infinite periodic word on those two colors must
-    alternate strictly.  For a periodic word this holds iff both colors occur
-    equally often per period and the two-period subsequence alternates.
-    """
-    n = len(cartan)
-    word = tuple(word)
-    if not word or any(c < 1 or c > n for c in word):
-        return False
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if cartan[i - 1][j - 1] >= 0:
-                continue
-            if word.count(i) != word.count(j):
-                return False
-            sub = [c for c in word + word if c == i or c == j]
-            if not sub:
-                return False
-            if any(x == y for x, y in zip(sub, sub[1:])):
-                return False
-    return True
 
 
 def p_matrix(cartan: tuple[tuple[int, ...], ...], word) -> dict[tuple[int, int], int]:
@@ -168,8 +140,8 @@ class Context:
     """Everything fixed by a (family, n, word) choice.
 
     Position arithmetic: the infinite word repeats ``word`` (a permutation of
-    ``1..n``); position ``(s-1)*n + word.index(k) + 1`` carries the s-th
-    occurrence of color k.
+    ``1..n``, so adapted); position ``(s-1)*n + word.index(k) + 1`` carries
+    the s-th occurrence of color k.
     """
 
     def __init__(self, family: str, n: int, word):
@@ -182,8 +154,6 @@ class Context:
                 f"word {self.word} must contain each color 1..{n} exactly once"
             )
         self.cartan = cartan_matrix(family, n)
-        if not check_adapted(self.cartan, self.word):
-            raise ValueError(f"word {self.word} is not adapted for {family}, n={n}")
         self.machinery = dual_family(family)
         self.period = n
         self.fold_period = fold_period(self.machinery, n)
@@ -290,7 +260,10 @@ def weight_from_config(cfg: dict) -> dict[int, int]:
     lam = cfg.get("lambda", {}) or {}
     out = {}
     for key, val in lam.items():
-        k = int(key)
+        try:
+            k = int(key)
+        except ValueError:
+            raise ValueError(f"lambda key {key!r} is not an integer color") from None
         v = int(val)
         if v < 0:
             raise ValueError("weight multiplicities must be >= 0")

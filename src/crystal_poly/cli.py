@@ -42,12 +42,13 @@ def _load_config(path: str) -> dict:
     if missing:
         raise ValueError(f"config {path} lacks {', '.join(missing)}")
     word, lam = cfg["iota_word"], cfg.get("lambda")
-    if not isinstance(cfg["n"], int):
+    # JSON true/false load as bool, a subclass of int: refuse them by type
+    if type(cfg["n"]) is not int:
         raise ValueError(f"config {path}: n must be an integer")
-    if not (isinstance(word, list) and all(isinstance(c, int) for c in word)):
+    if not (isinstance(word, list) and all(type(c) is int for c in word)):
         raise ValueError(f"config {path}: iota_word must be a list of integers")
     if not (lam is None or isinstance(lam, dict)
-            and all(isinstance(v, int) for v in lam.values())):
+            and all(type(v) is int for v in lam.values())):
         raise ValueError(f"config {path}: lambda must map colors to integers")
     return cfg
 

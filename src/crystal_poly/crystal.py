@@ -83,10 +83,11 @@ class ZVector:
         (keys may also be positions).
 
         Entries, positions, occurrences ``s`` and colors ``k`` must be
-        integers, with ``s >= 1`` and ``k`` in ``1..n``; anything else is a
-        ``ValueError``.  A nonzero entry past position ``node_cap()`` is
-        refused before any row is allocated: deciding membership of such a
-        vector starts from more variables than the cap lets a closure keep.
+        integers, with ``s >= 1`` and ``k`` in ``1..n``, and no two keys may
+        name one position; anything else is a ``ValueError``.  A nonzero entry
+        past position ``node_cap()`` is refused before any row is allocated:
+        deciding membership of such a vector starts from more variables than
+        the cap lets a closure keep.
         """
         import ast  # only the commands that read a vector need it
 
@@ -97,14 +98,17 @@ class ZVector:
             return v
 
         try:
-            obj = ast.literal_eval(text.strip())
+            node = ast.parse(text.strip(), mode="eval").body
+            obj = ast.literal_eval(node)
         except (ValueError, TypeError, SyntaxError) as exc:
             raise ValueError(f"cannot parse vector from {text!r}") from exc
         if isinstance(obj, (list, tuple)):
             out = {p: integer(v) for p, v in enumerate(obj, 1)}
         elif isinstance(obj, dict):
             out = {}
-            for key, v in obj.items():
+            # read the pairs off the syntax tree: a dict keeps one of equal keys
+            for key_node, value_node in zip(node.keys, node.values):
+                key, v = ast.literal_eval(key_node), ast.literal_eval(value_node)
                 if isinstance(key, tuple) and len(key) == 2:
                     s, k = map(integer, key)
                     if k not in ctx.colors():
@@ -112,7 +116,9 @@ class ZVector:
                     if s < 1:
                         raise ValueError(f"vector occurrence {s} must be at least 1")
                     key = ctx.pos_of(s, k)
-                out[integer(key)] = integer(v)
+                if integer(key) in out:
+                    raise ValueError(f"vector position {key} is given twice")
+                out[key] = integer(v)
         else:
             raise ValueError(f"cannot parse vector from {text!r}")
         top = max((p for p, v in out.items() if v), default=0)

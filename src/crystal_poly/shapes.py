@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from collections import deque
 
-from .cartan import Context
-from .inequalities import LinearForm, node_cap
+from .cartan import Context, node_cap
+from .inequalities import LinearForm
 
 
 def _form(ctx: Context, points) -> LinearForm:
@@ -39,12 +39,25 @@ def _form(ctx: Context, points) -> LinearForm:
     return LinearForm(0, terms)
 
 
+class _Shape:
+    """Equality shared by the shape classes: two shapes are equal when they are
+    of one class, with one charge and one stored profile (:meth:`_key`)."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(self) is type(other) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
 # --------------------------------------------------------------------------------
 # extended Young diagrams
 # --------------------------------------------------------------------------------
 
 
-class ExtendedYoungDiagram:
+class ExtendedYoungDiagram(_Shape):
     """Nondecreasing profile ``y_0 <= y_1 <= ...`` with values < charge stored
     explicitly and the constant tail implied."""
 
@@ -61,6 +74,9 @@ class ExtendedYoungDiagram:
         self.charge = charge
         self.ys = ys
 
+    def _key(self):
+        return self.charge, self.ys
+
     def y(self, r: int) -> int:
         return self.ys[r] if r < len(self.ys) else self.charge
 
@@ -68,7 +84,10 @@ class ExtendedYoungDiagram:
         return sum(self.charge - v for v in self.ys)
 
     def corners(self):
-        """(concave, convex) corner lists as (i, level) pairs."""
+        """(concave, convex) corner lists as (i, level) pairs: the one move
+        rule.  A box enters at each concave corner (i, j), taking column i to
+        level j - 1, and leaves at column i - 1 of each convex corner (i, j),
+        taking that column to level j + 1."""
         concave = [(0, self.y(0))]
         convex = []
         for r in range(len(self.ys)):
@@ -77,39 +96,16 @@ class ExtendedYoungDiagram:
                 concave.append((r + 1, self.y(r + 1)))
         return concave, convex
 
+    def _with(self, i: int, v: int) -> "ExtendedYoungDiagram":
+        return ExtendedYoungDiagram(self.charge, self.ys[:i] + (v,) + self.ys[i + 1:])
+
     def additions(self):
         """All single-box additions, as (column, new diagram) pairs."""
-        out = []
-        for i in range(len(self.ys) + 1):
-            v = self.y(i) - 1
-            if i == 0 or self.y(i - 1) <= v:
-                ys = list(self.ys)
-                if i == len(ys):
-                    ys.append(v)
-                else:
-                    ys[i] = v
-                out.append((i, ExtendedYoungDiagram(self.charge, ys)))
-        return out
+        return [(i, self._with(i, j - 1)) for i, j in self.corners()[0]]
 
     def removals(self):
-        out = []
-        for i in range(len(self.ys)):
-            v = self.ys[i] + 1
-            if v <= self.y(i + 1):
-                ys = list(self.ys)
-                ys[i] = v
-                out.append((i, ExtendedYoungDiagram(self.charge, ys)))
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtendedYoungDiagram)
-            and self.charge == other.charge
-            and self.ys == other.ys
-        )
-
-    def __hash__(self):
-        return hash((self.charge, self.ys))
+        """All single-box removals, as (column, new diagram) pairs."""
+        return [(i - 1, self._with(i - 1, j + 1)) for i, j in self.corners()[1]]
 
     def __repr__(self):
         return f"EYD(charge={self.charge}, ys={list(self.ys)})"
@@ -131,7 +127,7 @@ def eyd_form(ctx: Context, k: int, diagram: ExtendedYoungDiagram, s: int) -> Lin
 # --------------------------------------------------------------------------------
 
 
-class RevisedEYD:
+class RevisedEYD(_Shape):
     """Two-sided profile stored as deviations from the ground profile
     ``charge + min(t, 0)``; always strictly below ground where stored.
 
@@ -152,6 +148,9 @@ class RevisedEYD:
             if y >= self.ground(t):
                 raise ValueError(f"entry at {t} is not below the ground profile")
 
+    def _key(self):
+        return self.charge, self.devs
+
     def ground(self, t: int) -> int:
         return self.charge + min(t, 0)
 
@@ -165,14 +164,28 @@ class RevisedEYD:
         return sum(self.ground(t) - v for t, v in self.devs)
 
     def _scan(self):
+        """The indexes that can hold a point.
+
+        A move at i reads only the entries i - 1..i + 1, and none fits where
+        all three lie on the ground away from its corner at 0: on the flat
+        right a decrement steps down, on the slope left it leaves a step of
+        two, and an increment needs a stored entry.  So every move lies in
+        ``min(lo, 0) - 1 .. max(hi, 0) + 1`` for the stored entries
+        ``lo .. hi``, and a removable point, reported one right of its move,
+        at most one further.
+        """
         lo, hi = (self.devs[0][0], self.devs[-1][0]) if self.devs else (0, 0)
-        return range(min(lo - 3, -3), max(hi + 3, 3) + 1)
+        return range(min(lo, 0) - 1, max(hi, 0) + 3)
+
+    def _low(self, ctx: Context, t: int) -> bool:
+        """Whether ``charge + t`` is a low residue of the folded pattern: 0,
+        and n for D2."""
+        r = (self.charge + t) % ctx.fold_period
+        return r == 0 or (ctx.machinery == "D2" and r == ctx.n)
 
     def _step_ok(self, ctx: Context, t: int, a: int, b: int) -> bool:
         """Whether consecutive levels a = y_t, b = y_{t+1} are permitted."""
-        r = (self.charge + t) % ctx.fold_period
-        special = r == 0 or (ctx.machinery == "D2" and r == ctx.n)
-        if not special:
+        if not self._low(ctx, t):
             return b == a or b == a + 1
         if t > 0:
             return b >= a
@@ -192,18 +205,16 @@ class RevisedEYD:
         """Whether the point at entry j counts twice.
 
         A lowered point (step up on its left, flat on its right) doubles at a
-        low residue (0, and n for D2) for j > 0 and at an up residue (one above
-        a low one) for j < 0; a restored point (flat on its left, step up on
-        its right) does the reverse.
+        low residue for j > 0 and at an up residue (one above a low one) for
+        j < 0; a restored point (flat on its left, step up on its right) does
+        the reverse.
         """
         if j == 0 or ctx.fold(j + self.charge) not in ctx.specials:
             return False
         a, b, c = self.y(j - 1), self.y(j), self.y(j + 1)
         if not (a == b < c if restored else a < b == c):
             return False
-        lows = (0,) if ctx.machinery == "A2" else (0, ctx.n)
-        r = j + self.charge if (j > 0) != restored else j + self.charge - 1
-        return r % ctx.fold_period in lows
+        return self._low(ctx, j if (j > 0) != restored else j - 1)
 
     def _with(self, t: int, v: int) -> "RevisedEYD":
         devs = {u: w for u, w in self.devs}
@@ -233,25 +244,13 @@ class RevisedEYD:
                  self._double(ctx, i - 1, True))
                 for i in self._scan() if self._fits(ctx, i - 1, self.y(i - 1) + 1)]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, RevisedEYD)
-            and self.charge == other.charge
-            and self.devs == other.devs
-        )
-
-    def __hash__(self):
-        return hash((self.charge, self.devs))
-
     def __repr__(self):
         return f"RevisedEYD(charge={self.charge}, devs={dict(self.devs)})"
 
 
 def reyd_adm_index(ctx: Context, k: int, s: int, i: int, level: int) -> tuple[int, int]:
-    return (
-        s + ctx.shift(k, i + k) + min(i, 0) + k - level,
-        ctx.fold(i + k),
-    )
+    """(occurrence index, color) of the form term of the point at entry i."""
+    return s + ctx.shift(k, i + k) + min(i, 0) + k - level, ctx.fold(i + k)
 
 
 def reyd_form(ctx: Context, k: int, shape: RevisedEYD, s: int) -> LinearForm:
@@ -266,7 +265,7 @@ def reyd_form(ctx: Context, k: int, shape: RevisedEYD, s: int) -> LinearForm:
 # Young walls
 # --------------------------------------------------------------------------------
 
-class YoungWall:
+class YoungWall(_Shape):
     """Columns of filled slot counts (>= 1 everywhere; trailing ground columns
     implied), weakly decreasing, no two full columns of equal height.
 
@@ -289,6 +288,9 @@ class YoungWall:
             raise ValueError("columns must be weakly decreasing")
         self.charge = charge
         self.cols = cols
+
+    def _key(self):
+        return self.charge, self.cols
 
     def col(self, i: int) -> int:
         return self.cols[i] if i < len(self.cols) else 1
@@ -353,16 +355,6 @@ class YoungWall:
                 out.append((i, band, color, False))
         return out
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, YoungWall)
-            and self.charge == other.charge
-            and self.cols == other.cols
-        )
-
-    def __hash__(self):
-        return hash((self.charge, self.cols))
-
     def __repr__(self):
         return f"YoungWall(charge={self.charge}, cols={list(self.cols)})"
 
@@ -407,8 +399,9 @@ def shape_children(ctx: Context, shape):
     if isinstance(shape, ExtendedYoungDiagram):
         return [t for _, t in shape.additions()]
     if isinstance(shape, RevisedEYD):
-        return [shape.dec(ctx, i) for i, _, _, _ in shape.admissible_points(ctx)]
-    kids = (shape.add(ctx, i) for i in range(len(shape.cols) + 1))
+        kids = (shape.dec(ctx, i) for i in shape._scan())
+    else:
+        kids = (shape.add(ctx, i) for i in range(len(shape.cols) + 1))
     return [t for t in kids if t is not None]
 
 
@@ -472,36 +465,28 @@ def enumerate_shapes(ctx: Context, k: int, s: int, bound: int):
 # --------------------------------------------------------------------------------
 
 
-def _ladder(ctx: Context, hi_idx, hi_color, lo_idx, lo_color) -> LinearForm:
+def _rung(ctx: Context, k: int, hi: int, lo: int) -> LinearForm:
+    """Color k's ladder rung: plus the ``shift(k, hi)``-th occurrence of
+    ``fold(hi)``, minus the ``1 + shift(k, lo)``-th of ``fold(lo)``."""
+    hi_color, lo_color = ctx.fold(hi), ctx.fold(lo)
     hi_coeff = lo_coeff = 1
     if ctx.machinery in ("A2", "D2") and hi_color != lo_color:
         if hi_color in ctx.specials:
             hi_coeff = 2
         elif lo_color in ctx.specials:
             lo_coeff = 2
-    return _form(ctx, ((hi_idx, hi_color, hi_coeff), (lo_idx, lo_color, -lo_coeff)))
+    return _form(ctx, ((ctx.shift(k, hi), hi_color, hi_coeff),
+                       (1 + ctx.shift(k, lo), lo_color, -lo_coeff)))
 
 
 def right_ladder(ctx: Context, k: int, r: int) -> LinearForm:
     """Rung ``r >= k+1`` of the rightward ladder family for color k."""
-    return _ladder(
-        ctx,
-        ctx.shift(k, r),
-        ctx.fold(r),
-        1 + ctx.shift(k, r - 1),
-        ctx.fold(r - 1),
-    )
+    return _rung(ctx, k, r, r - 1)
 
 
 def left_ladder(ctx: Context, k: int, r: int) -> LinearForm:
     """Rung ``r <= k`` of the leftward ladder family for color k."""
-    return _ladder(
-        ctx,
-        ctx.shift(k, r - 1),
-        ctx.fold(r - 1),
-        1 + ctx.shift(k, r),
-        ctx.fold(r),
-    )
+    return _rung(ctx, k, r - 1, r)
 
 
 # --------------------------------------------------------------------------------
@@ -528,23 +513,16 @@ def comb_lambda_case(ctx: Context, k: int) -> str:
 
 def _ladder_family(ctx: Context, k: int, window: int, direction: str):
     idx_bound = window // ctx.n + 2
+    d = 1 if direction == "right" else -1
+    hi, lo = (k + 1, k) if d == 1 else (k - 1, k)
     out = set()
-    r = k if direction == "left" else k + 1
-    while True:
-        if direction == "left":
-            form = left_ladder(ctx, k, r)
-            idxs = (ctx.shift(k, r - 1), 1 + ctx.shift(k, r))
-            r -= 1
-        else:
-            form = right_ladder(ctx, k, r)
-            idxs = (ctx.shift(k, r), 1 + ctx.shift(k, r - 1))
-            r += 1
-        # occurrence indexes grow monotonically along the ladder, so once both
-        # pass the bound no later rung can reenter the window
-        if min(idxs) > idx_bound:
-            break
+    # occurrence indexes grow monotonically along the ladder, so once both
+    # indexes of a rung pass the bound no later rung can reenter the window
+    while min(ctx.shift(k, hi), 1 + ctx.shift(k, lo)) <= idx_bound:
+        form = _rung(ctx, k, hi, lo)
         if form.max_pos() <= window:
             out.add(form)
+        hi, lo = hi + d, lo + d
     return out
 
 

@@ -483,13 +483,23 @@ BASE_CFG = {"family": "A1", "n": 3, "iota_word": [2, 1, 3]}
         (BASE_CFG, ["check", "--vector", "[None]"], "got None"),
         (BASE_CFG, ["check", "--vector", "[1.5]"], "got 1.5"),
         (BASE_CFG, ["check", "--vector", "{(0,1): 1}"], "occurrence 0 must be at least 1"),
+        (BASE_CFG, ["check", "--vector", "{(1,1): 1, 2: 5}"], "position 2 is given twice"),
+        ({**BASE_CFG, "n": True}, ["check", "--vector", "[0,1]"], "n must be an integer"),
+        ({**BASE_CFG, "iota_word": [True, 2, 3]}, ["check", "--vector", "[0,1]"],
+         "iota_word must be a list of integers"),
+        ({**BASE_CFG, "lambda": {"1": True}}, ["check", "--vector", "[0,1]"],
+         "lambda must map colors to integers"),
+        ({**BASE_CFG, "lambda": {"x": 1}}, ["check", "--vector", "[0,1]"],
+         "lambda key 'x' is not an integer color"),
     ],
     ids=["config-missing", "config-lacks-n", "config-lacks-word", "gen-ineq-k-outside",
          "epsilon-star-k-outside", "enumerate-negative-depth", "crosscheck-negative-depth",
          "crosscheck-negative-window", "crosscheck-over-candidate-limit",
          "config-word-not-a-list", "config-n-null", "config-lambda-not-an-object",
          "config-lambda-value-null", "vector-color-outside", "vector-key-triple",
-         "vector-entry-none", "vector-entry-float", "vector-occurrence-zero"],
+         "vector-entry-none", "vector-entry-float", "vector-occurrence-zero",
+         "vector-position-repeated", "config-n-true", "config-word-entry-true",
+         "config-lambda-value-true", "config-lambda-key-not-a-color"],
 )
 def test_unusable_input_exits_2(tmp_path, capsys, cfg, argv, says):
     path = tmp_path / "cfg.json"

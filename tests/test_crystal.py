@@ -58,6 +58,14 @@ def test_zvector_parse_refuses_positions_past_the_node_cap(monkeypatch):
             ZVector.parse(text, ctx)
 
 
+def test_zvector_parse_refuses_a_repeated_position():
+    ctx = make_context("A1")  # word 2,1,3: (1,1) is position 2
+    for text in ("{(1,1): 1, 2: 5}", "{2: 1, 2: 5}", "{(1,1): 1, (1,1): 1}"):
+        with pytest.raises(ValueError, match="vector position 2 is given twice"):
+            ZVector.parse(text, ctx)
+    assert ZVector.parse("{(1,1): 1, 3: 5}", ctx) == ZVector({2: 1, 3: 5})
+
+
 def test_with_delta_is_functional():
     x = ZVector({2: 1})
     y = x.with_delta(2, -1)

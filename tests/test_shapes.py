@@ -1,5 +1,6 @@
 """Diagram/wall combinatorics and the closed-form inequality families."""
 
+import ast
 import hashlib
 import random
 import re
@@ -20,7 +21,7 @@ from crystal_poly import (
     reyd_form,
     wall_form,
 )
-from crystal_poly import shapes
+from crystal_poly import inequalities, shapes
 from crystal_poly.shapes import (
     comb_infinity,
     comb_lambda_case,
@@ -42,6 +43,7 @@ from util import (
     full_shape_bfs,
     make_context,
     mk,
+    reference_eyd_moves,
     run_move_checks,
     with_undo_moves,
 )
@@ -85,6 +87,21 @@ def test_eyd_additions_removals_inverse():
         d = d2
     for i, smaller in d.removals():
         assert (i, d) in smaller.additions()
+
+
+def test_eyd_moves_match_the_hand_written_conditions():
+    count = 0
+    for charge in range(1, 5):
+        level = {ExtendedYoungDiagram(charge)}
+        for _ in range(9):  # the ground and every diagram up to 8 additions away
+            nxt = set()
+            for d in level:
+                corners, adds, rems = reference_eyd_moves(d)
+                assert (d.corners(), d.additions(), d.removals()) == (corners, adds, rems)
+                nxt.update(t for _, t in adds)
+                count += 1
+            level = nxt
+    assert count == 268
 
 
 def test_charge3_diagram_forms_frozen():
@@ -493,6 +510,30 @@ def test_shape_moves_match_golden_digest():
     assert h.hexdigest() == MOVE_DIGEST
 
 
+# the rank-3 grid and three rank-4 words of each twisted machinery
+SCAN_CONTEXTS = [(fam, 3, word) for fam, word in GRID8] + [
+    (fam, 4, word) for fam in ("A2", "C1")
+    for word in ((1, 2, 3, 4), (2, 1, 4, 3), (4, 3, 2, 1))]
+
+
+def test_reyd_scan_holds_every_point(monkeypatch):
+    shapes_seen = []
+    for fam, n, word in SCAN_CONTEXTS:
+        ctx = Context(fam, n, word)
+        shapes_seen += [(ctx, t) for k in ctx.colors() if shape_kind(ctx, k) == "reyd"
+                        for t in full_shape_bfs(ctx, k, 1, 4 + 2 * n)]
+
+    def record(ctx, t):
+        return t.admissible_points(ctx), t.removable_points(ctx), shape_children(ctx, t)
+
+    derived = [record(ctx, t) for ctx, t in shapes_seen]
+    scan = RevisedEYD._scan
+    monkeypatch.setattr(RevisedEYD, "_scan",
+                        lambda t: range(scan(t).start - 12, scan(t).stop + 12))
+    assert [record(ctx, t) for ctx, t in shapes_seen] == derived
+    assert len(shapes_seen) == 2221
+
+
 def test_reyd_rejects_an_entry_above_ground():
     with pytest.raises(ValueError):
         RevisedEYD(3, {0: 5})
@@ -506,3 +547,35 @@ def test_wall_refuses_negative_columns():
     assert YoungWall(1, (3,)).add(ctx, -1) is None
     assert YoungWall(1, (5, 3, 2)).add(ctx, -2) is None
     assert YoungWall(1, (5, 3, 2)).remove(ctx, -1) is None
+
+
+# ----------------------------------------------------------------------------------
+# The generator boundary
+# ----------------------------------------------------------------------------------
+
+
+def _imported_names(module):
+    """{module name inside the package or out: names taken from it} over every
+    import statement of the module's source, function-level ones included."""
+    with open(module.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    out: dict[str, set] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out.setdefault(alias.name.removeprefix("crystal_poly."), set())
+        elif isinstance(node, ast.ImportFrom):
+            name = (node.module or "").removeprefix("crystal_poly.")
+            if node.level and not node.module:  # from . import a, b
+                for alias in node.names:
+                    out.setdefault(alias.name, set())
+            else:
+                out.setdefault(name, set()).update(alias.name for alias in node.names)
+    return out
+
+
+def test_generators_share_only_the_common_types():
+    # the shape generator and the rewriting generator share nothing but
+    # Context, LinearForm and ZVector, so each can check the other
+    assert _imported_names(shapes)["inequalities"] == {"LinearForm"}
+    assert not {"shapes", "oracle"} & set(_imported_names(inequalities))

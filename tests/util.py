@@ -189,6 +189,30 @@ def full_shape_bfs(ctx: Context, k: int, s: int, bound: int) -> set:
     return seen
 
 
+def reference_eyd_moves(d):
+    """(corners, additions, removals) of the diagram ``d`` by the three
+    hand-written conditions the diagram class once stated separately: a
+    convex/concave pair wherever the profile steps up, an addition at column
+    0 or wherever the column before stays at or under the lowered level, a
+    removal wherever the raised level stays at or under the next column."""
+    concave, convex = [(0, d.y(0))], []
+    for r in range(len(d.ys)):
+        if d.y(r) < d.y(r + 1):
+            convex.append((r + 1, d.y(r)))
+            concave.append((r + 1, d.y(r + 1)))
+
+    def moved(i, v):
+        ys = list(d.ys) + [d.charge] * (i + 1 - len(d.ys))
+        ys[i] = v
+        return type(d)(d.charge, ys)
+
+    adds = [(i, moved(i, d.y(i) - 1)) for i in range(len(d.ys) + 1)
+            if i == 0 or d.y(i - 1) <= d.y(i) - 1]
+    rems = [(i, moved(i, d.ys[i] + 1)) for i in range(len(d.ys))
+            if d.ys[i] + 1 <= d.y(i + 1)]
+    return (concave, convex), adds, rems
+
+
 def with_undo_moves(children):
     """``children`` (a ``shape_children``) plus, from every nonground shape, a
     move back to the ground of its family: at offset 0 that move lowers the
