@@ -264,9 +264,9 @@ def weight_from_config(cfg: dict) -> dict[int, int]:
             k = int(key)
         except ValueError:
             raise ValueError(f"lambda key {key!r} is not an integer color") from None
-        v = int(val)
-        if v < 0:
+        if k in out:
+            raise ValueError(f"lambda color {k} is given twice")
+        out[k] = int(val)
+        if out[k] < 0:
             raise ValueError("weight multiplicities must be >= 0")
-        if v:
-            out[k] = v
-    return out
+    return {k: v for k, v in out.items() if v}

@@ -337,20 +337,18 @@ def _variables(bound: int) -> list[LinearForm]:
 _PLAIN_CACHE: dict[tuple, ClosureResult] = {}
 
 
-def _plain_closure(ctx: Context, k: int | None, bound: int) -> ClosureResult:
-    """Plain-step closure of the variables (``k is None``) or of the color-k
-    seed offset, out to ``bound``.
+def _plain_closure(ctx: Context, bound: int) -> ClosureResult:
+    """Plain-step closure of the variables out to ``bound``.
 
-    These closures do not depend on the weight, so one is built per (ctx, k,
-    bound, node cap) and shared by every caller.  Only converged results are
-    stored; the cap is in the key because a result that converged under one
-    cap need not converge under a lower one.
+    It does not depend on the weight, so one is built per (ctx, bound, node
+    cap) and shared by every caller.  Only converged results are stored; the
+    cap is in the key because a result that converged under one cap need not
+    converge under a lower one.
     """
-    key = (ctx.family, ctx.n, ctx.word, k, bound, node_cap())
+    key = (ctx.family, ctx.n, ctx.word, bound, node_cap())
     res = _PLAIN_CACHE.get(key)
     if res is None:
-        seeds = _variables(bound) if k is None else [seed_offset(ctx, k)]
-        res = _close(seeds, _delta(ctx, None), bound)
+        res = _close(_variables(bound), _delta(ctx, None), bound)
         if res.converged:
             _PLAIN_CACHE[key] = res
     return res
@@ -358,7 +356,7 @@ def _plain_closure(ctx: Context, k: int | None, bound: int) -> ClosureResult:
 
 def limit_inequalities(ctx: Context, window: int) -> ClosureResult:
     """Closure of all single-variable seeds inside the window (limit crystal)."""
-    return _plain_closure(ctx, None, _bound(ctx, window))
+    return _plain_closure(ctx, _bound(ctx, window))
 
 
 def weight_inequalities(ctx: Context, lam, window: int) -> ClosureResult:
@@ -375,7 +373,7 @@ def boundary_closure_for_color(ctx: Context, lam, k: int, window: int) -> Closur
 
 def offset_closure_for_color(ctx: Context, k: int, window: int) -> ClosureResult:
     """Closure of the color-k seed offset under plain rewriting."""
-    return _plain_closure(ctx, k, _bound(ctx, window))
+    return _close([seed_offset(ctx, k)], _delta(ctx, None), _bound(ctx, window))
 
 
 def membership_family(ctx: Context, lam, support: int,
@@ -391,7 +389,7 @@ def membership_family(ctx: Context, lam, support: int,
     sharpen the test, never wrongly reject a member.
     """
     bound = _bound(ctx, support, margin_periods)
-    parts = [_plain_closure(ctx, None, bound)]
+    parts = [_plain_closure(ctx, bound)]
     if lam is not None:
         parts += [_close([weight_seed(ctx, lam, k)], _delta(ctx, lam), bound)
                   for k in ctx.colors()]
@@ -407,19 +405,20 @@ def node_cap_error(ctx: Context, support: int, margin_periods: int) -> RuntimeEr
 def epsilon_star_forms(ctx: Context, x, k: int, window: int | None = None) -> int:
     """Starred string value of ``x`` at color ``k``: the maximum of ``-f(x)``
     over the color-k offset closure (clamped at 0, attained by the zero form's
-    limit).  Every closure element is a valid inequality, so enlarging the
-    window can only raise the computed value toward the true one.  A vector
-    with a negative entry is refused; membership is not checked otherwise."""
+    limit), built uncached out to ``window`` itself, by default
+    ``max(x.max_pos(), ctx.period)``.  Every closure element is a valid
+    inequality, so the value is a lower bound that a wider window can only
+    raise; ``epsilon-star --method both`` certifies it against the oracle.  A
+    vector with a negative entry is refused; membership is not checked otherwise."""
     if not x.nonnegative():
         raise ValueError("vector has negative entries")
     if window is None:
-        window = max(x.max_pos(), ctx.period) + ctx.period
-    res = offset_closure_for_color(ctx, k, window)
+        window = max(x.max_pos(), ctx.period)
+    res = _close([seed_offset(ctx, k)], _delta(ctx, None), window)
     if not res.converged:
         raise RuntimeError(
             f"offset closure for color {k} hit the node cap of {node_cap()} forms "
-            f"(window {window}, closure bound {_bound(ctx, window)}); "
-            "raise CRYSTAL_POLY_NODE_CAP or lower the window")
+            f"(closure bound {window}); raise CRYSTAL_POLY_NODE_CAP or lower the window")
     best = 0
     for form in res.forms:
         value = -form.evaluate(x)

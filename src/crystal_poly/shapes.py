@@ -166,16 +166,16 @@ class RevisedEYD(_Shape):
     def _scan(self):
         """The indexes that can hold a point.
 
-        A move at i reads only the entries i - 1..i + 1, and none fits where
-        all three lie on the ground away from its corner at 0: on the flat
-        right a decrement steps down, on the slope left it leaves a step of
-        two, and an increment needs a stored entry.  So every move lies in
-        ``min(lo, 0) - 1 .. max(hi, 0) + 1`` for the stored entries
-        ``lo .. hi``, and a removable point, reported one right of its move,
-        at most one further.
+        A decrement at i reads only the entries i - 1..i + 1, and none fits
+        where all three lie on the ground away from its corner at 0: on the
+        flat right it steps down, on the slope left it leaves a step of two.
+        So every decrement lies in ``min(lo, 0) - 1 .. max(hi, 0) + 1`` for
+        the stored entries ``lo .. hi``.  An increment needs a stored entry,
+        so it lies in ``lo .. hi``, and a removable point, reported one right
+        of its increment, at most at ``hi + 1``.
         """
         lo, hi = (self.devs[0][0], self.devs[-1][0]) if self.devs else (0, 0)
-        return range(min(lo, 0) - 1, max(hi, 0) + 3)
+        return range(min(lo, 0) - 1, max(hi, 0) + 2)
 
     def _low(self, ctx: Context, t: int) -> bool:
         """Whether ``charge + t`` is a low residue of the folded pattern: 0,

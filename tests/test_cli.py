@@ -491,6 +491,8 @@ BASE_CFG = {"family": "A1", "n": 3, "iota_word": [2, 1, 3]}
          "lambda must map colors to integers"),
         ({**BASE_CFG, "lambda": {"x": 1}}, ["check", "--vector", "[0,1]"],
          "lambda key 'x' is not an integer color"),
+        ({**BASE_CFG, "lambda": {"1": 1, "01": 2}}, ["check", "--vector", "[0,1]"],
+         "lambda color 1 is given twice"),
     ],
     ids=["config-missing", "config-lacks-n", "config-lacks-word", "gen-ineq-k-outside",
          "epsilon-star-k-outside", "enumerate-negative-depth", "crosscheck-negative-depth",
@@ -499,7 +501,8 @@ BASE_CFG = {"family": "A1", "n": 3, "iota_word": [2, 1, 3]}
          "config-lambda-value-null", "vector-color-outside", "vector-key-triple",
          "vector-entry-none", "vector-entry-float", "vector-occurrence-zero",
          "vector-position-repeated", "config-n-true", "config-word-entry-true",
-         "config-lambda-value-true", "config-lambda-key-not-a-color"],
+         "config-lambda-value-true", "config-lambda-key-not-a-color",
+         "config-lambda-color-repeated"],
 )
 def test_unusable_input_exits_2(tmp_path, capsys, cfg, argv, says):
     path = tmp_path / "cfg.json"

@@ -390,17 +390,16 @@ def test_plain_closure_cache_is_keyed_by_the_node_cap(monkeypatch):
     assert not capped.converged and len(capped.forms) == 50
 
 
-def test_epsilon_star_forms_reuses_the_offset_closure(monkeypatch):
+def test_epsilon_star_forms_closes_once_per_color_at_the_vectors_window(monkeypatch):
     calls = _count_close_calls(monkeypatch)
     ctx = make_context("A1")
-    x = ZVector({2: 1, 4: 1})
-    window = max(x.max_pos(), ctx.period) + ctx.period
-    for k in ctx.colors():
-        offset_closure_for_color(ctx, k, window)
-    assert len(calls) == ctx.n
-    values = [epsilon_star_forms(ctx, x, k) for k in ctx.colors()]
-    assert len(calls) == ctx.n
-    assert values == [epsilon_star_forms(ctx, x, k, window) for k in ctx.colors()]
+    for x in (ZVector({2: 1}), ZVector({2: 1, 7: 1})):
+        calls.clear()
+        values = [epsilon_star_forms(ctx, x, k) for k in ctx.colors()]
+        window = max(x.max_pos(), ctx.period)
+        assert calls == [window] * ctx.n  # no margin past the window
+        assert inequalities._PLAIN_CACHE == {}
+        assert values == [epsilon_star_forms(ctx, x, k, window) for k in ctx.colors()]
 
 
 # ----------------------------------------------------------------------------------
@@ -493,15 +492,15 @@ def test_epsilon_star_forms_refuses_a_negative_entry():
 
 
 def test_epsilon_star_forms_node_cap_error_names_its_numbers(monkeypatch):
-    monkeypatch.setenv("CRYSTAL_POLY_NODE_CAP", "50")
+    monkeypatch.setenv("CRYSTAL_POLY_NODE_CAP", "5")
     ctx = make_context("A1")
     x = ZVector.from_list([3, 3, 2, 3, 2, 1])
     with pytest.raises(RuntimeError) as err:
         epsilon_star_forms(ctx, x, 3)
-    # window max(6, 3) + 3 = 9, closure bound 9 + 2 periods = 15
+    # window and closure bound max(6, 3) = 6, where the closure has 8 forms
     assert str(err.value) == (
-        "offset closure for color 3 hit the node cap of 50 forms (window 9, closure "
-        "bound 15); raise CRYSTAL_POLY_NODE_CAP or lower the window")
+        "offset closure for color 3 hit the node cap of 5 forms (closure bound 6); "
+        "raise CRYSTAL_POLY_NODE_CAP or lower the window")
 
 
 # ----------------------------------------------------------------------------------

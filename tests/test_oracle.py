@@ -2,12 +2,14 @@
 
 import itertools
 import random
+import time
 from collections import Counter
 from math import comb
 
 import pytest
 
 from crystal_poly import (
+    Context,
     CrystalOps,
     LinearForm,
     ZVector,
@@ -144,6 +146,27 @@ def test_epsilon_star_forms_match_oracle_sample(family):
         x = random_reachable(ops, rng, 5)
         for k in ctx.colors():
             assert epsilon_star_forms(ctx, x, k) == epsilon_star_oracle(ctx, x, k)
+
+
+def test_epsilon_star_forms_match_oracle_at_rank_4():
+    # two seeded words per family, 30 walks of up to 12 steps each, supports
+    # up to 15; budget 5 s (about 0.2 s on a 2-vCPU Xeon)
+    t0 = time.perf_counter()
+    rng = random.Random(4)
+    supports = []
+    for family in ("A1", "A2", "C1", "D2"):
+        for _ in range(2):
+            ctx = Context(family, 4, rng.sample(range(1, 5), 4))
+            ops = CrystalOps(ctx, None)
+            for _ in range(30):
+                x = random_reachable(ops, rng, rng.randrange(0, 13))
+                supports.append(x.max_pos())
+                for k in ctx.colors():
+                    assert epsilon_star_forms(ctx, x, k) == epsilon_star_oracle(ctx, x, k), (
+                        family, ctx.word, x, k)
+    assert max(supports) >= 14
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 5, f"over budget: {elapsed:.1f}s"
 
 
 # ----------------------------------------------------------------------------------
