@@ -30,10 +30,21 @@ from .oracle import crosscheck_membership, epsilon_star_oracle, weight_graded_co
 from .shapes import comb_infinity, comb_lambda, weight_family
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's members as a dict, refusing a key given twice (plain
+    ``json.load`` would keep the last)."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"config key {key!r} is given twice")
+        obj[key] = value
+    return obj
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ValueError(f"cannot read config {path}: {exc.strerror}") from exc
     if not isinstance(cfg, dict):
@@ -134,6 +145,17 @@ def cmd_enumerate(ctx: Context, lam: dict | None, args) -> int:
 
 def cmd_epsilon_star(ctx: Context, args) -> int:
     x = ZVector.parse(args.vector, ctx)
+    if args.method == "forms" and x.nonnegative():
+        # every closure form is a valid inequality: a negative one proves x
+        # lies outside the limit crystal, where no starred value is defined
+        support = max(x.max_pos(), ctx.n)
+        forms, converged = membership_family(ctx, None, support, 0)
+        if not converged:
+            raise node_cap_error(ctx, support, 0)
+        ok, witness = membership(forms, x)
+        if not ok:
+            raise ValueError(f"vector is outside the limit crystal: {witness.render(ctx)} "
+                             f"evaluates to {witness.evaluate(x)}")
     ks = [args.k] if args.k is not None else list(ctx.colors())
     disagree = False
     lines = []

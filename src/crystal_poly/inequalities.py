@@ -208,18 +208,6 @@ def rewrite(ctx: Context, lam: dict[int, int] | None, form: LinearForm,
 # ---- closures --------------------------------------------------------------------
 
 
-class ClosureResult:
-    __slots__ = ("forms", "converged", "pruned")
-
-    def __init__(self, forms, converged, pruned):
-        self.forms = frozenset(forms)
-        self.converged = converged
-        self.pruned = pruned
-
-    def within(self, window: int) -> frozenset[LinearForm]:
-        return frozenset(f for f in self.forms if f.max_pos() <= window)
-
-
 _BIAS = 128  # a coefficient c is stored as the byte c + _BIAS
 _SPAN = 63  # the coefficients of an expanded row and of a step: |c| <= _SPAN
 _OUT = 3
@@ -228,6 +216,76 @@ _CLASSES = bytes(0 if v == _BIAS else _OUT if abs(v - _BIAS) > _SPAN else
                  1 if v > _BIAS else 2 for v in range(256))
 # a coefficient byte as the coefficient's two's-complement byte
 _SIGNED = bytes((v - _BIAS) & 255 for v in range(256))
+
+
+def _zero_row(width: int) -> int:
+    """The coefficient bytes of a packed row whose coefficients are all zero."""
+    return int.from_bytes(bytes([_BIAS]) * width, "little")
+
+
+def _past(width: int, window: int) -> tuple[int, int]:
+    """The mask of a packed row's coefficient bytes past ``window``, and
+    their value when every coefficient there is zero."""
+    tail = ((1 << 8 * width) - 1) ^ ((1 << 8 * min(window, width)) - 1)
+    return tail, _zero_row(width) & tail
+
+
+class ClosureResult:
+    """The forms a closure kept, as the packed rows of ``_close`` (see
+    there), each with ``width`` coefficient bytes.
+
+    No ``LinearForm`` is built until a caller asks for one: ``forms``
+    decodes every row on first access and keeps the result, ``within``
+    decodes only the rows inside a window, and ``restriction`` hands the
+    coefficient bytes over undecoded.
+    """
+
+    __slots__ = ("rows", "width", "converged", "pruned", "_forms")
+
+    def __init__(self, rows, width: int, converged: bool, pruned: int):
+        self.rows = rows
+        self.width = width
+        self.converged = converged
+        self.pruned = pruned
+        self._forms = None
+
+    def _decode(self, rows) -> frozenset[LinearForm]:
+        """The rows' forms: their bytes, unbiased and stripped of trailing
+        zeros, are the forms' dense rows."""
+        width = self.width
+        shift, mask = 8 * width, (1 << 8 * width) - 1
+        return frozenset(
+            LinearForm._make(row >> shift, tuple(memoryview(
+                (row & mask).to_bytes(width, "little").translate(_SIGNED).rstrip(b"\0")
+            ).cast("b")))
+            for row in rows)
+
+    @property
+    def forms(self) -> frozenset[LinearForm]:
+        if self._forms is None:
+            self._forms = self._decode(self.rows)
+        return self._forms
+
+    def within(self, window: int) -> frozenset[LinearForm]:
+        """The forms whose last position is at most ``window``."""
+        if self._forms is not None:
+            return frozenset(f for f in self._forms if f.max_pos() <= window)
+        if window < 0:
+            return frozenset()
+        tail, zero = _past(self.width, window)
+        return self._decode([row for row in self.rows if row & tail == zero])
+
+    def restriction(self, support: int) -> tuple[bytes, list[int]]:
+        """Every row cut to positions ``1..support``, undecoded: one string
+        of ``support`` signed bytes per row, the coefficients there (zero
+        past the width), and the rows' constants, in the same row order."""
+        rows = list(self.rows)
+        cut = min(support, self.width)
+        low = (1 << 8 * cut) - 1
+        pad = _zero_row(support) ^ _zero_row(cut)  # zero coefficients past the width
+        blob = b"".join([((row & low) | pad).to_bytes(support, "little") for row in rows])
+        shift = 8 * self.width
+        return blob.translate(_SIGNED), [row >> shift for row in rows]
 
 
 def _span_error(coeff: int, pos: int) -> RuntimeError:
@@ -259,15 +317,14 @@ def _close(seeds, delta, bound: int) -> ClosureResult:
     A step form reaching past ``width`` counts as pruned and builds
     nothing.  A form that leaves the bound counts as pruned; once
     ``node_cap()`` forms are kept the search stops, unconverged.  The kept
-    rows become ``LinearForm``s once, at the end: their bytes, unbiased and
-    stripped of trailing zeros, are the forms' dense rows.
+    rows are the result's, undecoded (see ``ClosureResult``).
     """
     cap = node_cap()
     start = set(seeds)
     width = max([bound] + [f.max_pos() for f in start])
     shift = 8 * width  # the constant's offset
     mask = (1 << shift) - 1  # the coefficient bytes
-    zero = int.from_bytes(bytes([_BIAS]) * width, "little")
+    zero = _zero_row(width)
 
     def pack(form: LinearForm) -> int:
         row = form.constant << shift
@@ -284,8 +341,7 @@ def _close(seeds, delta, bound: int) -> ClosureResult:
     queue = deque(zero + pack(f) for f in start)
     seen = set(queue)
     # rows may hold terms past the bound when the seeds do
-    tail = mask ^ ((1 << 8 * bound) - 1)
-    tail_zero = zero & tail
+    tail, tail_zero = _past(width, bound)
     pruned = 0
     converged = True
     while queue:
@@ -316,12 +372,7 @@ def _close(seeds, delta, bound: int) -> ClosureResult:
                 break
             seen.add(new)
             queue.append(new)
-    forms = []
-    while seen:  # popping frees each row once it is converted
-        row = seen.pop()
-        coeffs = (row & mask).to_bytes(width, "little").translate(_SIGNED).rstrip(b"\0")
-        forms.append(LinearForm._make(row >> shift, tuple(memoryview(coeffs).cast("b"))))
-    return ClosureResult(forms, converged, pruned)
+    return ClosureResult(seen, width, converged, pruned)
 
 
 def _bound(ctx: Context, window: int, margin_periods: int = 2) -> int:
@@ -376,6 +427,20 @@ def offset_closure_for_color(ctx: Context, k: int, window: int) -> ClosureResult
     return _close([seed_offset(ctx, k)], _delta(ctx, None), _bound(ctx, window))
 
 
+def membership_closures(ctx: Context, lam, support: int,
+                        margin_periods: int) -> list[ClosureResult]:
+    """The closures behind ``membership_family``, undecoded: the limit
+    closure of the variables (shared across weights, see ``_plain_closure``)
+    and, in the highest-weight case, the closure of each color's boundary
+    seed, all at the bound ``margin_periods`` word periods past ``support``."""
+    bound = _bound(ctx, support, margin_periods)
+    parts = [_plain_closure(ctx, bound)]
+    if lam is not None:
+        parts += [_close([weight_seed(ctx, lam, k)], _delta(ctx, lam), bound)
+                  for k in ctx.colors()]
+    return parts
+
+
 def membership_family(ctx: Context, lam, support: int,
                       margin_periods: int = 1) -> tuple[frozenset[LinearForm], bool]:
     """Inequality family adequate for deciding membership of vectors supported
@@ -388,11 +453,7 @@ def membership_family(ctx: Context, lam, support: int,
     matters; generating out to a margin and keeping every form can only
     sharpen the test, never wrongly reject a member.
     """
-    bound = _bound(ctx, support, margin_periods)
-    parts = [_plain_closure(ctx, bound)]
-    if lam is not None:
-        parts += [_close([weight_seed(ctx, lam, k)], _delta(ctx, lam), bound)
-                  for k in ctx.colors()]
+    parts = membership_closures(ctx, lam, support, margin_periods)
     return frozenset().union(*(r.forms for r in parts)), all(r.converged for r in parts)
 
 

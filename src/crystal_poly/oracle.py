@@ -11,12 +11,11 @@ from __future__ import annotations
 import time
 from itertools import chain
 from math import comb
-from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from .cartan import Context
 from .crystal import CrystalOps, ZVector
-from .inequalities import membership_family, node_cap_error
+from .inequalities import membership_closures, node_cap_error
 
 if TYPE_CHECKING:
     import numpy as np
@@ -136,8 +135,10 @@ def random_reachable(ops: CrystalOps, rng, depth: int) -> ZVector:
 # --------------------------------------------------------------------------------
 
 
-def _compile_matrix(forms, support: int):
-    """Dense coefficient matrix of the forms' restrictions to the support box.
+def _compile_matrix(closures, support: int):
+    """Dense coefficient matrix of the restrictions to the support box of the
+    closures' forms, read from their packed rows (``ClosureResult.restriction``)
+    without building a form.
 
     Rows that cannot go negative on nonnegative vectors are dropped, duplicate
     restrictions are merged into the strongest one (the smallest constant), and
@@ -150,12 +151,14 @@ def _compile_matrix(forms, support: int):
     """
     import numpy as np  # here, not at module level: only a cross-check pays for it
 
-    forms = list(forms)
-    pad = (0,) * support
-    coeffs = np.fromiter(chain.from_iterable((f._row + pad)[:support] for f in forms),
-                         np.int64, len(forms) * support).reshape(len(forms), support)
-    consts = np.fromiter(map(attrgetter("constant"), forms), np.int64, len(forms))
-    del forms
+    blobs, consts = [], []
+    for res in closures:
+        blob, res_consts = res.restriction(support)
+        blobs.append(blob)
+        consts += res_consts
+    coeffs = np.frombuffer(b"".join(blobs), np.int8).reshape(len(consts), support)
+    consts = np.array(consts, dtype=np.int64)
+    del blobs
     # a row can go negative only through its constant or a negative coefficient
     keep = (consts < 0) | (coeffs < 0).any(axis=1)
     coeffs, consts = coeffs[keep], consts[keep]
@@ -169,7 +172,7 @@ def _compile_matrix(forms, support: int):
     first[1:] = (coeffs[1:] != coeffs[:-1]).any(axis=1)
     uniq = np.flatnonzero(first)
     starts = np.searchsorted(width[uniq], np.arange(support + 2))
-    return coeffs[uniq], np.minimum.reduceat(consts, uniq), starts
+    return coeffs[uniq].astype(np.int64), np.minimum.reduceat(consts, uniq), starts
 
 
 def _candidate_matrix(support: int, total: int, *, matrix) -> np.ndarray:
@@ -205,10 +208,10 @@ def _candidate_matrix(support: int, total: int, *, matrix) -> np.ndarray:
 
 
 def _feasible_tuples(ctx: Context, lam, depth: int, support: int, margin: int):
-    forms, converged = membership_family(ctx, lam, support, margin)
-    if not converged:
+    closures = membership_closures(ctx, lam, support, margin)
+    if not all(res.converged for res in closures):
         raise node_cap_error(ctx, support, margin)
-    matrix = _compile_matrix(forms, support)
+    matrix = _compile_matrix(closures, support)
     rows = _candidate_matrix(support, depth, matrix=matrix)
     return set(map(tuple, rows.tolist())), len(matrix[0])
 

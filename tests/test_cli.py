@@ -2,14 +2,16 @@
 
 import hashlib
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
-from crystal_poly import shapes
+from crystal_poly import Context, CrystalOps, epsilon_star_oracle, shapes
 from crystal_poly.cli import main
 from crystal_poly.crystal import ZVector
+from crystal_poly.oracle import random_reachable
 
 from util import with_undo_moves
 
@@ -241,6 +243,34 @@ def test_epsilon_star_forms_refuses_a_negative_entry(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert captured.err == "error: vector has negative entries\n"
+
+
+def test_epsilon_star_forms_refuses_a_provable_non_member(tmp_path, capsys):
+    # outside the limit crystal (the oracle refuses it too); the starred value
+    # printed for it used to depend on the closure window
+    cfg = write_cfg(tmp_path)
+    rc = main(["--config", cfg, "epsilon-star", "--vector", "[1,2,0,3]", "--method", "forms"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == ("error: vector is outside the limit crystal: "
+                            "x[1,1] + x[1,3] - x[2,2] evaluates to -1\n")
+    assert main(["--config", cfg, "epsilon-star", "--vector", "[1,2,0,3]",
+                 "--method", "oracle"]) == 2
+
+
+@pytest.mark.parametrize("family,word", [("A2", (2, 1, 3)), ("D2", (1, 2, 3))])
+def test_epsilon_star_forms_answers_every_member(tmp_path, capsys, family, word):
+    ctx = Context(family, 3, word)
+    ops = CrystalOps(ctx, None)
+    rng = random.Random(3)
+    cfg = write_cfg(tmp_path, family=family, word=word)
+    for _ in range(12):
+        x = random_reachable(ops, rng, 8)
+        vector = "[" + ",".join(map(str, x.to_tuple(max(x.max_pos(), 1)))) + "]"
+        assert main(["--config", cfg, "epsilon-star", "--vector", vector,
+                     "--method", "forms"]) == 0, vector
+        want = [f"k={k}: forms={epsilon_star_oracle(ctx, x, k)}" for k in ctx.colors()]
+        assert capsys.readouterr().out.splitlines() == want
 
 
 def test_epsilon_star_rejects_non_member(tmp_path, capsys):
@@ -493,6 +523,11 @@ BASE_CFG = {"family": "A1", "n": 3, "iota_word": [2, 1, 3]}
          "lambda key 'x' is not an integer color"),
         ({**BASE_CFG, "lambda": {"1": 1, "01": 2}}, ["check", "--vector", "[0,1]"],
          "lambda color 1 is given twice"),
+        ('{"family": "A1", "n": 3, "iota_word": [2, 1, 3], "lambda": {"1": 1, "1": 2}}',
+         ["gen-ineq", "--mode", "comb", "--k", "1", "--window", "3"],
+         "config key '1' is given twice"),
+        ('{"family": "A1", "n": 3, "n": 3, "iota_word": [2, 1, 3]}',
+         ["enumerate", "--depth", "1"], "config key 'n' is given twice"),
     ],
     ids=["config-missing", "config-lacks-n", "config-lacks-word", "gen-ineq-k-outside",
          "epsilon-star-k-outside", "enumerate-negative-depth", "crosscheck-negative-depth",
@@ -502,12 +537,13 @@ BASE_CFG = {"family": "A1", "n": 3, "iota_word": [2, 1, 3]}
          "vector-entry-none", "vector-entry-float", "vector-occurrence-zero",
          "vector-position-repeated", "config-n-true", "config-word-entry-true",
          "config-lambda-value-true", "config-lambda-key-not-a-color",
-         "config-lambda-color-repeated"],
+         "config-lambda-color-repeated", "config-lambda-key-repeated",
+         "config-key-repeated"],
 )
 def test_unusable_input_exits_2(tmp_path, capsys, cfg, argv, says):
     path = tmp_path / "cfg.json"
-    if cfg is not None:
-        path.write_text(json.dumps(cfg), encoding="utf-8")
+    if cfg is not None:  # a string is the config's text as given
+        path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg), encoding="utf-8")
     assert main(["--config", str(path), *argv]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and says in captured.err

@@ -1,12 +1,14 @@
 """Linear forms, rewriting steps, closures, and membership checks."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from crystal_poly import inequalities
 from crystal_poly.crystal import CrystalOps, ZVector
 from crystal_poly.inequalities import (
+    ClosureResult,
     LinearForm,
     _bound,
     _close,
@@ -20,6 +22,7 @@ from crystal_poly.inequalities import (
     first_violation_positivity,
     limit_inequalities,
     membership,
+    membership_closures,
     membership_family,
     offset_closure_for_color,
     rewrite,
@@ -255,6 +258,7 @@ def test_weight_closure_contains_variables():
 
 
 W1 = {1: 1}
+W12 = {1: 1, 2: 1}
 
 
 def _closure_cases(ctx, window):
@@ -388,6 +392,45 @@ def test_plain_closure_cache_is_keyed_by_the_node_cap(monkeypatch):
     monkeypatch.setenv("CRYSTAL_POLY_NODE_CAP", "50")
     capped = limit_inequalities(ctx, 6)
     assert not capped.converged and len(capped.forms) == 50
+
+
+@pytest.mark.parametrize("family,word", GRID8)
+def test_restriction_is_the_decoded_forms_cut_to_the_support(family, word):
+    ctx = make_context(family, word)
+    for lam in (None, W1, W12):
+        for support in range(3, 10):
+            for margin in range(3):
+                closures = membership_closures(ctx, lam, support, margin)
+                family_forms, converged = membership_family(ctx, lam, support, margin)
+                assert converged and frozenset().union(*(r.forms for r in closures)) == family_forms
+                for res in closures:
+                    blob, consts = res.restriction(support)
+                    assert len(blob) == support * len(consts) == support * len(res.rows)
+                    got = Counter(zip((tuple(memoryview(blob[i:i + support]).cast("b"))
+                                       for i in range(0, len(blob), support)), consts))
+                    want = Counter((tuple(f.coeff(p) for p in range(1, support + 1)), f.constant)
+                                   for f in res.forms)
+                    assert got == want, (lam, support, margin)
+
+
+def test_restriction_pads_past_the_width():
+    res = _close([LinearForm(-2, {1: 3, 2: -1})], lambda pos, positive: None, 2)
+    blob, consts = res.restriction(4)
+    assert res.width == 2 and list(memoryview(blob).cast("b")) == [3, -1, 0, 0]
+    assert consts == [-2]
+
+
+@pytest.mark.parametrize("family,word", GRID8)
+def test_within_on_undecoded_rows_filters_the_decoded_forms(family, word):
+    ctx = make_context(family, word)
+    for lam in (None, W1):
+        for res in membership_closures(ctx, lam, 6, 1):
+            forms = res.forms
+            for window in range(-1, res.width + 1):
+                fresh = ClosureResult(res.rows, res.width, res.converged, res.pruned)
+                want = frozenset(f for f in forms if f.max_pos() <= window)
+                assert fresh.within(window) == want == res.within(window), window
+                assert fresh._forms is None  # decoding a window keeps nothing
 
 
 def test_epsilon_star_forms_closes_once_per_color_at_the_vectors_window(monkeypatch):

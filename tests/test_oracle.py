@@ -21,7 +21,7 @@ from crystal_poly import (
     reaches_origin,
 )
 from crystal_poly import oracle
-from crystal_poly.inequalities import epsilon_star_forms
+from crystal_poly.inequalities import ClosureResult, epsilon_star_forms, membership_closures
 from crystal_poly.oracle import (
     MAX_CANDIDATES,
     _candidate_matrix,
@@ -33,6 +33,7 @@ from crystal_poly.oracle import (
 from util import (
     DEFAULT_WORDS,
     GRID8,
+    compile_forms,
     make_context,
     reference_candidate_matrix,
     reference_compile_matrix,
@@ -229,20 +230,20 @@ def test_sum_bounded_tuples_count():
     for support in range(7):
         for total in range(4):
             want = reference_candidate_matrix(support, total)
-            rows = _candidate_matrix(support, total, matrix=_compile_matrix([], support))
+            rows = _candidate_matrix(support, total, matrix=compile_forms([], support))
             for got in (want, rows):
                 assert got.shape == (comb(support + total, total), support)
                 assert len({tuple(r) for r in got.tolist()}) == len(got)
                 assert (got >= 0).all() and (got.sum(axis=1) <= total).all()
             assert rows.tolist() == want.tolist()
     assert len(reference_candidate_matrix(4, 2)) == 15
-    assert len(_candidate_matrix(6, 2, matrix=_compile_matrix([], 6))) == 28
+    assert len(_candidate_matrix(6, 2, matrix=compile_forms([], 6))) == 28
 
 
 def _sweep_both(forms, support, total):
     """The pruned sweep's feasible set and the reference block sweep's, from
     one compiled matrix."""
-    matrix = _compile_matrix(forms, support)
+    matrix = compile_forms(forms, support)
     rows = _candidate_matrix(support, total, matrix=matrix)
     coeffs, consts, _ = matrix
     assert rows.tolist() == sorted(rows.tolist())
@@ -252,7 +253,7 @@ def _sweep_both(forms, support, total):
 def test_pruned_sweep_cuts_on_a_constant_row():
     # restricted to the support the row is the constant -1: nothing is feasible
     for support in range(4):
-        coeffs, consts, starts = _compile_matrix([LinearForm(-1, {5: 1})], support)
+        coeffs, consts, starts = compile_forms([LinearForm(-1, {5: 1})], support)
         assert coeffs.shape == (1, support) and starts[:2].tolist() == [0, 1]
         got, want = _sweep_both([LinearForm(-1, {5: 1}), LinearForm(2, {1: -1})], support, 3)
         assert got == want == set()
@@ -264,7 +265,7 @@ def test_pruned_sweep_cuts_on_a_constant_row():
 def test_pruned_sweep_applies_a_last_column_row_at_the_end():
     # x3 <= 1 reads every column of a width-3 box
     form = LinearForm(1, {3: -1})
-    coeffs, consts, starts = _compile_matrix([form], 3)
+    coeffs, consts, starts = compile_forms([form], 3)
     assert starts.tolist() == [0, 0, 0, 0, 1]
     got, want = _sweep_both([form], 3, 3)
     assert got == want
@@ -276,7 +277,7 @@ def test_pruned_sweep_merges_duplicate_rows():
     # both restrict to x2 - x1 on the support; the smaller constant wins
     forms = [LinearForm(2, {1: -1, 2: 1}), LinearForm(1, {1: -1, 2: 1, 7: 3}),
              LinearForm(0, {2: -1, 3: 1})]
-    coeffs, consts, starts = _compile_matrix(forms, 3)
+    coeffs, consts, starts = compile_forms(forms, 3)
     assert coeffs.tolist() == [[-1, 1, 0], [0, -1, 1]] and consts.tolist() == [1, 0]
     assert starts.tolist() == [0, 0, 0, 1, 2]
     got, want = _sweep_both(forms, 3, 4)
@@ -318,7 +319,7 @@ def test_compile_matrix_keeps_the_strongest_constant_per_row():
     weak = LinearForm(3, {1: -1, 5: 2})
     strong = LinearForm(1, {1: -1})
     for forms in ([weak, strong], [strong, weak]):
-        coeffs, consts, _ = _compile_matrix(forms, 3)
+        coeffs, consts, _ = compile_forms(forms, 3)
         assert coeffs.tolist() == [[-1, 0, 0]]
         assert consts.tolist() == [1]
 
@@ -331,12 +332,12 @@ def test_compile_matrix_equals_the_row_by_row_reference(family):
             support = 4 * ctx.n  # the crosscheck workload's depth 4
             forms, converged = membership_family(ctx, lam, support, margin)
             assert converged
-            got = _compile_matrix(forms, support)
+            got = _compile_matrix(membership_closures(ctx, lam, support, margin), support)
             want = reference_compile_matrix(forms, support)
             assert len(want[0]) > 0
-            for a, b in zip(got, want):
-                assert a.dtype == b.dtype and a.shape == b.shape
-                assert (a == b).all(), (lam, margin)
+            for a, b, c in zip(got, want, compile_forms(forms, support)):
+                assert a.dtype == b.dtype == c.dtype and a.shape == b.shape == c.shape
+                assert (a == b).all() and (a == c).all(), (lam, margin)
             # rows starts[j]:starts[j + 1] read exactly the first j columns
             coeffs, starts = got[0], got[2]
             reads = [max((i + 1 for i, c in enumerate(r) if c), default=0)
@@ -371,12 +372,22 @@ def test_crosscheck_membership_limit():
 
 def test_crosscheck_refuses_too_many_candidates_before_generating(monkeypatch):
     def unreachable(*_args, **_kwargs):
-        raise AssertionError("membership_family called over the candidate limit")
+        raise AssertionError("membership_closures called over the candidate limit")
 
-    monkeypatch.setattr(oracle, "membership_family", unreachable)
+    monkeypatch.setattr(oracle, "membership_closures", unreachable)
     ctx = make_context("A1")
     with pytest.raises(RuntimeError) as err:
         crosscheck_membership(ctx, None, 7)
     msg = str(err.value)
     assert "1184040 candidates" in msg and "support 21" in msg and "depth 7" in msg
     assert str(MAX_CANDIDATES) in msg
+
+
+def test_crosscheck_builds_no_form(monkeypatch):
+    # the cross-check compiles its matrix from the closures' packed rows
+    def refuse(_self):
+        raise AssertionError("a closure was decoded into forms")
+
+    monkeypatch.setattr(ClosureResult, "forms", property(refuse))
+    rep = crosscheck_membership(make_context("A2"), {1: 1}, 3)
+    assert rep["matched"] and rep["mismatches"] == []

@@ -11,11 +11,14 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from collections import deque
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
 from crystal_poly import Context, CrystalOps, LinearForm, ZVector, generate_closure
-from crystal_poly.inequalities import coupling_form, node_cap, rewrite, weight_seed
+from crystal_poly.inequalities import ClosureResult, coupling_form, node_cap, rewrite, weight_seed
+from crystal_poly.oracle import _compile_matrix
 from crystal_poly.shapes import (
     eyd_form,
     eyd_term_index,
@@ -312,6 +315,49 @@ def reference_compile_matrix(forms, support: int):
     coeffs = np.array([vec for vec, _ in ordered], dtype=np.int64)
     consts = np.array([const for _, const in ordered], dtype=np.int64)
     return coeffs, consts
+
+
+# The numpy compile that oracle._compile_matrix ran on forms before it read
+# the closures' packed rows, kept as a reference for it.
+def fromiter_compile_matrix(forms, support: int):
+    forms = list(forms)
+    pad = (0,) * support
+    coeffs = np.fromiter(chain.from_iterable((f._row + pad)[:support] for f in forms),
+                         np.int64, len(forms) * support).reshape(len(forms), support)
+    consts = np.fromiter(map(attrgetter("constant"), forms), np.int64, len(forms))
+    del forms
+    keep = (consts < 0) | (coeffs < 0).any(axis=1)
+    coeffs, consts = coeffs[keep], consts[keep]
+    width = ((coeffs != 0) * np.arange(1, support + 1)).max(axis=1, initial=0)
+    order = np.lexsort(np.vstack((coeffs[:, ::-1].T, width)))
+    coeffs, consts, width = coeffs[order], consts[order], width[order]
+    first = np.ones(len(coeffs), dtype=bool)
+    first[1:] = (coeffs[1:] != coeffs[:-1]).any(axis=1)
+    uniq = np.flatnonzero(first)
+    starts = np.searchsorted(width[uniq], np.arange(support + 2))
+    return coeffs[uniq], np.minimum.reduceat(consts, uniq), starts
+
+
+def packed_closure(forms) -> ClosureResult:
+    """A converged closure result whose rows are exactly ``forms``, packed
+    as ``_close`` packs its rows: byte ``p - 1`` holds the coefficient at
+    ``p`` plus 128, and the constant sits above the last position's byte."""
+    forms = set(forms)
+    width = max([0] + [f.max_pos() for f in forms])
+    rows = {(f.constant << 8 * width)
+            + sum((f.coeff(p) + 128) << 8 * (p - 1) for p in range(1, width + 1))
+            for f in forms}
+    return ClosureResult(rows, width, True, 0)
+
+
+def compile_forms(forms, support: int):
+    """``oracle._compile_matrix`` on one closure holding exactly ``forms``,
+    checked against the construction from forms that it replaced."""
+    forms = list(forms)
+    got = _compile_matrix([packed_closure(forms)], support)
+    for a, b in zip(got, fromiter_compile_matrix(forms, support)):
+        assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all()
+    return got
 
 
 # The candidate box and 2048-row block sweep that oracle._feasible_tuples ran
