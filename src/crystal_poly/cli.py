@@ -119,12 +119,12 @@ def cmd_check(ctx: Context, lam: dict | None, args) -> int:
         print("not a member: negative entry")
         return 1
     support = max(x.max_pos(), ctx.n)
-    forms, converged = membership_family(ctx, lam, support, margin_periods=2)
+    family, converged = membership_family(ctx, lam, support, margin_periods=2)
     if not converged:
         raise node_cap_error(ctx, support, 2)
-    ok, witness = membership(forms, x)
+    ok, witness = membership(family, x)
     if ok:
-        print(f"member ({len(forms)} forms checked, support {support})")
+        print(f"member ({len(family)} forms checked, support {support})")
         return 0
     print(
         f"not a member: {witness.render(ctx)} evaluates to {witness.evaluate(x)}"
@@ -149,10 +149,10 @@ def cmd_epsilon_star(ctx: Context, args) -> int:
         # every closure form is a valid inequality: a negative one proves x
         # lies outside the limit crystal, where no starred value is defined
         support = max(x.max_pos(), ctx.n)
-        forms, converged = membership_family(ctx, None, support, 0)
+        family, converged = membership_family(ctx, None, support, 0)
         if not converged:
             raise node_cap_error(ctx, support, 0)
-        ok, witness = membership(forms, x)
+        ok, witness = membership(family, x)
         if not ok:
             raise ValueError(f"vector is outside the limit crystal: {witness.render(ctx)} "
                              f"evaluates to {witness.evaluate(x)}")

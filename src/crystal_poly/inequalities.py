@@ -235,9 +235,10 @@ class ClosureResult:
     there), each with ``width`` coefficient bytes.
 
     No ``LinearForm`` is built until a caller asks for one: ``forms``
-    decodes every row on first access and keeps the result, ``within``
-    decodes only the rows inside a window, and ``restriction`` hands the
-    coefficient bytes over undecoded.
+    decodes every row on first access and keeps the result (iterating the
+    result iterates them), ``within`` decodes only the rows inside a
+    window, and ``values`` and ``restriction`` read the rows undecoded.
+    ``len`` is the row count.
     """
 
     __slots__ = ("rows", "width", "converged", "pruned", "_forms")
@@ -265,6 +266,37 @@ class ClosureResult:
         if self._forms is None:
             self._forms = self._decode(self.rows)
         return self._forms
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self):
+        return iter(self.forms)
+
+    def values(self, x: ZVector) -> list[int]:
+        """f(x) for every row, in row order, without building a form.
+
+        A row's coefficient bytes are its coefficients plus ``_BIAS``, so
+        f(x) is the constant (``>>`` floors, so a negative one comes back
+        exactly) plus the bytes times x, minus ``_BIAS`` times the entries
+        of x.  Only the bytes under x's row can meet an entry; rows that
+        agree there share the linear part, computed once per distinct bytes
+        (a closure run past x repeats them: 1,529 distinct of 17,985 rows in
+        the A2 (2,1,3) w1 family at support 10).
+        """
+        xrow = x._row[:self.width]
+        m = len(xrow)
+        shift, low = 8 * self.width, (1 << 8 * m) - 1
+        offset = _BIAS * sum(xrow)
+        linear = {}
+        out = []
+        for row in self.rows:
+            key = row & low
+            part = linear.get(key)
+            if part is None:
+                part = linear[key] = sum(map(mul, key.to_bytes(m, "little"), xrow)) - offset
+            out.append((row >> shift) + part)
+        return out
 
     def within(self, window: int) -> frozenset[LinearForm]:
         """The forms whose last position is at most ``window``."""
@@ -427,34 +459,46 @@ def offset_closure_for_color(ctx: Context, k: int, window: int) -> ClosureResult
     return _close([seed_offset(ctx, k)], _delta(ctx, None), _bound(ctx, window))
 
 
-def membership_closures(ctx: Context, lam, support: int,
-                        margin_periods: int) -> list[ClosureResult]:
-    """The closures behind ``membership_family``, undecoded: the limit
-    closure of the variables (shared across weights, see ``_plain_closure``)
-    and, in the highest-weight case, the closure of each color's boundary
-    seed, all at the bound ``margin_periods`` word periods past ``support``."""
-    bound = _bound(ctx, support, margin_periods)
-    parts = [_plain_closure(ctx, bound)]
-    if lam is not None:
-        parts += [_close([weight_seed(ctx, lam, k)], _delta(ctx, lam), bound)
-                  for k in ctx.colors()]
-    return parts
+def _union(parts) -> ClosureResult:
+    """One result whose rows are the union of the parts' rows, undecoded.
+
+    A part narrower than the widest is re-packed to that width first:
+    zero coefficients at the positions in between, the constant moved up
+    above them.
+    """
+    width = max(res.width for res in parts)
+    rows = set()
+    for res in parts:
+        if res.width == width:
+            rows.update(res.rows)
+            continue
+        shift, low = 8 * res.width, (1 << 8 * res.width) - 1
+        pad = _zero_row(width) ^ _zero_row(res.width)
+        rows.update(((row >> shift) << 8 * width) + (row & low) + pad for row in res.rows)
+    return ClosureResult(rows, width, all(res.converged for res in parts),
+                         sum(res.pruned for res in parts))
 
 
 def membership_family(ctx: Context, lam, support: int,
-                      margin_periods: int = 1) -> tuple[frozenset[LinearForm], bool]:
+                      margin_periods: int = 1) -> tuple[ClosureResult, bool]:
     """Inequality family adequate for deciding membership of vectors supported
-    in positions ``1..support``.
+    in positions ``1..support``, undecoded (see ``ClosureResult``).
 
-    Combines the limit closure of the variables (shared across weights, see
-    ``_plain_closure``) with, in the highest-weight case, the closure of each
-    color's boundary seed.  Terms at positions beyond ``support`` evaluate to
-    zero on such vectors, so only each form's restriction to the support
-    matters; generating out to a margin and keeping every form can only
-    sharpen the test, never wrongly reject a member.
+    The limit closure of the variables (shared across weights, see
+    ``_plain_closure``, and returned itself when ``lam`` is None) united, in
+    the highest-weight case, with the closure of each color's boundary seed,
+    all at the bound ``margin_periods`` word periods past ``support``.
+    Terms at positions beyond ``support`` evaluate to zero on such vectors,
+    so only each form's restriction to the support matters; generating out
+    to a margin and keeping every form can only sharpen the test, never
+    wrongly reject a member.
     """
-    parts = membership_closures(ctx, lam, support, margin_periods)
-    return frozenset().union(*(r.forms for r in parts)), all(r.converged for r in parts)
+    bound = _bound(ctx, support, margin_periods)
+    res = _plain_closure(ctx, bound)
+    if lam is not None:
+        res = _union([res] + [_close([weight_seed(ctx, lam, k)], _delta(ctx, lam), bound)
+                              for k in ctx.colors()])
+    return res, res.converged
 
 
 def node_cap_error(ctx: Context, support: int, margin_periods: int) -> RuntimeError:
@@ -480,12 +524,7 @@ def epsilon_star_forms(ctx: Context, x, k: int, window: int | None = None) -> in
         raise RuntimeError(
             f"offset closure for color {k} hit the node cap of {node_cap()} forms "
             f"(closure bound {window}); raise CRYSTAL_POLY_NODE_CAP or lower the window")
-    best = 0
-    for form in res.forms:
-        value = -form.evaluate(x)
-        if value > best:
-            best = value
-    return best
+    return max(0, -min(res.values(x)))
 
 
 # ---- structural checks ------------------------------------------------------------
@@ -525,14 +564,16 @@ def check_ample(forms) -> bool:
 # ---- membership -------------------------------------------------------------------
 
 
-def membership(forms, x: ZVector) -> tuple[bool, LinearForm | None]:
-    """Evaluate every form on x; return (ok, witness).
+def membership(family: ClosureResult, x: ZVector) -> tuple[bool, LinearForm | None]:
+    """Evaluate every row of ``family`` (see ``membership_family``) on x;
+    return (ok, witness).
 
     The witness is the smallest violated form under ``LinearForm.sort_key``,
     i.e. the first violated one in ``sorted_forms`` order (the key is
-    injective), found without sorting the family.
+    injective), found without sorting the family.  Only the violated rows
+    are decoded: a member decodes none.
     """
-    violated = [form for form in forms if form.evaluate(x) < 0]
+    violated = [row for row, value in zip(family.rows, family.values(x)) if value < 0]
     if not violated:
         return True, None
-    return False, min(violated, key=LinearForm.sort_key)
+    return False, min(family._decode(violated), key=LinearForm.sort_key)

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 from .cartan import Context
 from .crystal import CrystalOps, ZVector
-from .inequalities import membership_closures, node_cap_error
+from .inequalities import ClosureResult, membership_family, node_cap_error
 
 if TYPE_CHECKING:
     import numpy as np
@@ -135,9 +135,9 @@ def random_reachable(ops: CrystalOps, rng, depth: int) -> ZVector:
 # --------------------------------------------------------------------------------
 
 
-def _compile_matrix(closures, support: int):
+def _compile_matrix(family: ClosureResult, support: int):
     """Dense coefficient matrix of the restrictions to the support box of the
-    closures' forms, read from their packed rows (``ClosureResult.restriction``)
+    family's forms, read from its packed rows (``ClosureResult.restriction``)
     without building a form.
 
     Rows that cannot go negative on nonnegative vectors are dropped, duplicate
@@ -151,14 +151,9 @@ def _compile_matrix(closures, support: int):
     """
     import numpy as np  # here, not at module level: only a cross-check pays for it
 
-    blobs, consts = [], []
-    for res in closures:
-        blob, res_consts = res.restriction(support)
-        blobs.append(blob)
-        consts += res_consts
-    coeffs = np.frombuffer(b"".join(blobs), np.int8).reshape(len(consts), support)
+    blob, consts = family.restriction(support)
+    coeffs = np.frombuffer(blob, np.int8).reshape(len(consts), support)
     consts = np.array(consts, dtype=np.int64)
-    del blobs
     # a row can go negative only through its constant or a negative coefficient
     keep = (consts < 0) | (coeffs < 0).any(axis=1)
     coeffs, consts = coeffs[keep], consts[keep]
@@ -208,10 +203,10 @@ def _candidate_matrix(support: int, total: int, *, matrix) -> np.ndarray:
 
 
 def _feasible_tuples(ctx: Context, lam, depth: int, support: int, margin: int):
-    closures = membership_closures(ctx, lam, support, margin)
-    if not all(res.converged for res in closures):
+    family, converged = membership_family(ctx, lam, support, margin)
+    if not converged:
         raise node_cap_error(ctx, support, margin)
-    matrix = _compile_matrix(closures, support)
+    matrix = _compile_matrix(family, support)
     rows = _candidate_matrix(support, depth, matrix=matrix)
     return set(map(tuple, rows.tolist())), len(matrix[0])
 

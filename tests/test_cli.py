@@ -273,6 +273,62 @@ def test_epsilon_star_forms_answers_every_member(tmp_path, capsys, family, word)
         assert capsys.readouterr().out.splitlines() == want
 
 
+# Fixed vectors for the query digests: across the grid each is a member in
+# some cases and refused in others.
+QUERY_VECTORS = ["[0,1]", "[1,1,1,2,2,1]", "[1,2,0,3]", "[3,3,2,3,2,1]"]
+QUERY_COMMANDS = [["check"], ["epsilon-star", "--method", "forms"],
+                  ["epsilon-star", "--method", "both"]]
+
+
+def query_transcript(cfg, capsys) -> tuple[str, list[int]]:
+    """Exit code, stdout and stderr of every query command on every fixed
+    vector, concatenated, and the exit codes of ``check``."""
+    parts, check_rcs = [], []
+    for vector in QUERY_VECTORS:
+        for command in QUERY_COMMANDS:
+            rc = main(["--config", cfg, command[0], "--vector", vector, *command[1:]])
+            captured = capsys.readouterr()
+            parts.append(f"{' '.join(command)} {vector}\nrc={rc}\n{captured.out}{captured.err}")
+            if command == ["check"]:
+                check_rcs.append(rc)
+    return "".join(parts), check_rcs
+
+
+# sha256 of ``query_transcript`` for each acceptance-grid word without a
+# weight and at lambda = omega_1, recorded while membership still evaluated
+# every decoded form: a query must answer byte for byte as it did then.
+QUERY_DIGESTS = {
+    ("A1", "213", None): "c7c1a1b8c9b1844d8f6e382ca44550874e73abcce17c99a57097f18d20a25b99",
+    ("A1", "213", 1): "e6da7491919d90bd3b73237a16a66a111d702f82bf1648fec7c3e14341ff7138",
+    ("A1", "123", None): "732e49c806ea59793037012df692885e075b2359ddc9b8979b3c575152e73f2c",
+    ("A1", "123", 1): "e47b7c89e2e5bef9793a3014e5398051489016555f42996e15a7098a58a4585d",
+    ("A2", "213", None): "08bc73b7d953f686dc2bbfa25687d0d9571a55317c8090fccb638c054c2b65f7",
+    ("A2", "213", 1): "affd33f7ba59402dce9e6915f8c98c76d59e09452fdf0c697a3879720ecbca9e",
+    ("A2", "321", None): "93efd980f02405f7da091b31b0b89bff3d1522cbdf78004140aae6c623aef7b8",
+    ("A2", "321", 1): "a3314e1505c3130572ba01aae0c0575d8701602cd3bbf49559a6a7d51d891559",
+    ("C1", "123", None): "8e874c22d2ec4568aad6d4290485b39f13e8c9820fc9faa8557f29821955bf22",
+    ("C1", "123", 1): "63537f77718177e93e8d7911e63b7ca57753a798f77bb78e8f46458505aa3107",
+    ("C1", "321", None): "4626d9546e939a868f3ef5ec188ccd4f03abb00d45a7388c193665f024ab8971",
+    ("C1", "321", 1): "88698192a3a56ca99171859909f15a7ad9f82769913d6547d4012c0235ece529",
+    ("D2", "123", None): "e7f5e13c20218f6462188c91df181ccd458e0d61b702deafde0813b9cdb3a6bb",
+    ("D2", "123", 1): "5f41b6f0caae6471520adb5633bf2d4b2b9caba73428db283b1e275f26de0368",
+    ("D2", "213", None): "8b31e55134dd330cea5a3e74c3bae9142b8b92f70b5b1d1736cce871b93c71f3",
+    ("D2", "213", 1): "8b3c6cb20844921b2bf21b0bb2ef0fa6e3061b6e71c424395002c80fea2302c4",
+}
+
+
+def test_check_and_epsilon_star_match_golden_digests(tmp_path, capsys):
+    rcs = set()
+    for (family, word, omega), want in QUERY_DIGESTS.items():
+        lam = None if omega is None else {omega: 1}
+        cfg = write_cfg(tmp_path, family=family, word=tuple(map(int, word)), lam=lam)
+        text, check_rcs = query_transcript(cfg, capsys)
+        rcs.update(check_rcs)
+        got = hashlib.sha256(text.encode()).hexdigest()
+        assert got == want, (family, word, lam)
+    assert len(QUERY_DIGESTS) == 16 and rcs == {0, 1}  # members and non-members
+
+
 def test_epsilon_star_rejects_non_member(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     rc = main(

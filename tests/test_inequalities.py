@@ -22,7 +22,6 @@ from crystal_poly.inequalities import (
     first_violation_positivity,
     limit_inequalities,
     membership,
-    membership_closures,
     membership_family,
     offset_closure_for_color,
     rewrite,
@@ -41,7 +40,9 @@ from util import (
     make_context,
     mk,
     reference_close,
+    reference_membership,
     run_rewrite_relation_checks,
+    unpack_row,
 )
 
 
@@ -370,8 +371,9 @@ def test_membership_family_shares_the_plain_closure_across_weights(monkeypatch):
     assert len(calls) == 1
     weighted, _ = membership_family(ctx, W1, 6)
     assert len(calls) == 1 + ctx.n  # one boundary closure per color, no plain one
-    assert plain <= weighted
-    assert limit_inequalities(ctx, 6 - ctx.period).forms == plain  # the same bound
+    assert plain.forms <= weighted.forms
+    assert limit_inequalities(ctx, 6 - ctx.period).forms == plain.forms  # the same bound
+    assert limit_inequalities(ctx, 6 - ctx.period) is plain  # the cached result itself
     assert len(calls) == 1 + ctx.n
 
 
@@ -394,16 +396,28 @@ def test_plain_closure_cache_is_keyed_by_the_node_cap(monkeypatch):
     assert not capped.converged and len(capped.forms) == 50
 
 
+def _membership_parts(ctx, lam, support, margin):
+    """The closures ``membership_family`` unites, built through the entry
+    points: ``margin`` periods past the support is the entry points' two
+    periods past a window ``margin - 2`` periods beyond it."""
+    window = support + (margin - 2) * ctx.period
+    parts = [limit_inequalities(ctx, window)]
+    if lam is not None:
+        parts += [boundary_closure_for_color(ctx, lam, k, window) for k in ctx.colors()]
+    return parts
+
+
 @pytest.mark.parametrize("family,word", GRID8)
 def test_restriction_is_the_decoded_forms_cut_to_the_support(family, word):
     ctx = make_context(family, word)
     for lam in (None, W1, W12):
         for support in range(3, 10):
             for margin in range(3):
-                closures = membership_closures(ctx, lam, support, margin)
-                family_forms, converged = membership_family(ctx, lam, support, margin)
-                assert converged and frozenset().union(*(r.forms for r in closures)) == family_forms
-                for res in closures:
+                parts = _membership_parts(ctx, lam, support, margin)
+                family_res, converged = membership_family(ctx, lam, support, margin)
+                assert converged
+                assert frozenset().union(*(r.forms for r in parts)) == family_res.forms
+                for res in parts + [family_res]:
                     blob, consts = res.restriction(support)
                     assert len(blob) == support * len(consts) == support * len(res.rows)
                     got = Counter(zip((tuple(memoryview(blob[i:i + support]).cast("b"))
@@ -424,7 +438,7 @@ def test_restriction_pads_past_the_width():
 def test_within_on_undecoded_rows_filters_the_decoded_forms(family, word):
     ctx = make_context(family, word)
     for lam in (None, W1):
-        for res in membership_closures(ctx, lam, 6, 1):
+        for res in _membership_parts(ctx, lam, 6, 1) + [membership_family(ctx, lam, 6, 1)[0]]:
             forms = res.forms
             for window in range(-1, res.width + 1):
                 fresh = ClosureResult(res.rows, res.width, res.converged, res.pruned)
@@ -485,8 +499,8 @@ def test_membership_family_shares_the_entry_points_margin(family, word):
             if lam is not None:
                 for k in ctx.colors():
                     want |= boundary_closure_for_color(ctx, lam, k, window).forms
-            got = membership_family(ctx, lam, support, m)
-            assert got == (frozenset(want), True), (m, lam)
+            got, converged = membership_family(ctx, lam, support, m)
+            assert (got.forms, converged) == (frozenset(want), True), (m, lam)
 
 
 @pytest.mark.parametrize("family", ["A1", "A2", "C1", "D2"])
@@ -513,6 +527,82 @@ def test_membership_witness_is_first_violated_in_sorted_order(family, lam):
     assert members and rejected
 
 
+def _query_vectors(rng, support: int, width: int) -> list[ZVector]:
+    """Zero, negative entries, entries past ``width``, entries of 64 and
+    more, and small random vectors on ``1..support``."""
+    return [
+        ZVector.ZERO,
+        ZVector({1: -1, support + 1: 2}),
+        ZVector({1: 1, width + 1: 5, width + 7: -3}),
+        ZVector({1: 64, support + 1: 200, width + 2: 1000}),
+        *(ZVector({rng.randrange(1, support + 1): rng.randrange(-1, 3) for _ in range(3)})
+          for _ in range(4)),
+    ]
+
+
+@pytest.mark.parametrize("family,word", GRID8)
+def test_values_are_the_decoded_rows_evaluated_in_row_order(family, word):
+    ctx = make_context(family, word)
+    rng = random.Random(5)
+    for lam in (None, W1, W12):
+        for support in range(1, 10):
+            for margin in range(3):
+                res, converged = membership_family(ctx, lam, support, margin)
+                assert converged and len(res) == len(res.rows)
+                decoded = [unpack_row(row, res.width) for row in res.rows]
+                for x in _query_vectors(rng, support, res.width):
+                    assert res.values(x) == [f.evaluate(x) for f in decoded], (lam, support, x)
+
+
+@pytest.mark.parametrize("family,word", GRID8)
+def test_membership_matches_the_form_by_form_reference(family, word):
+    ctx = make_context(family, word)
+    rng = random.Random(11)
+    members = rejected = 0
+    for lam in (None, W1, W12):
+        ops = CrystalOps(ctx, lam)
+        for support in (1, 3, 6, 9):
+            for margin in range(3):
+                res, _ = membership_family(ctx, lam, support, margin)
+                forms = [unpack_row(row, res.width) for row in res.rows]
+                xs = [random_reachable(ops, rng, rng.randrange(0, 6)) for _ in range(4)]
+                xs += _query_vectors(rng, support, res.width)
+                for x in xs:
+                    want = reference_membership(forms, x)
+                    assert membership(res, x) == want, (lam, support, margin, x)
+                    members += want[0]
+                    rejected += not want[0]
+    assert members and rejected
+
+
+def test_a_member_query_decodes_no_row(monkeypatch):
+    monkeypatch.setattr(inequalities, "_PLAIN_CACHE", {})
+    ctx = make_context("A1")
+    plain, _ = membership_family(ctx, None, 6)
+    union, _ = membership_family(ctx, W1, 6)
+    for res in (plain, union):
+        assert membership(res, ZVector({2: 1})) == (True, None)
+        assert res._forms is None
+    ok, witness = membership(union, ZVector({1: 1}))
+    assert not ok and witness == mk(ctx, {(1, 2): -1}, 0)
+    assert union._forms is None and plain._forms is None  # the witness is not kept
+
+
+def test_membership_family_repacks_narrower_parts_to_the_widest():
+    # below one period the boundary seeds reach past the bound, so the
+    # plain closure and the boundary closures have different widths
+    ctx = make_context("A1")  # word 2,1,3
+    parts = _membership_parts(ctx, W1, 1, 0)
+    assert [res.width for res in parts] == [1, 2, 1, 3]
+    res, converged = membership_family(ctx, W1, 1, 0)
+    assert converged and res.width == 3
+    assert res.forms == frozenset().union(*(r.forms for r in parts))
+    assert len(res) == len(res.forms) == len(list(res))
+    for x in (ZVector.ZERO, ZVector({1: 1}), ZVector({1: 2, 2: -1, 3: 70}), ZVector({3: 1, 5: 1})):
+        assert res.values(x) == [unpack_row(row, 3).evaluate(x) for row in res.rows]
+        assert membership(res, x) == reference_membership(res.forms, x)
+
+
 # ----------------------------------------------------------------------------------
 # Starred string values from forms
 # ----------------------------------------------------------------------------------
@@ -525,6 +615,32 @@ def test_epsilon_star_forms_frozen():
     assert [epsilon_star_forms(ctx, x, k) for k in ctx.colors()] == [1, 3, 0]
     # explicit window consistent with the default
     assert epsilon_star_forms(ctx, x, 2, window=12) == 3
+
+
+def test_epsilon_star_forms_decodes_no_row(monkeypatch):
+    # criterion 4's vectors, against the maximum of -f(x) over the decoded
+    # offset closure, with every closure's forms refused
+    a1 = make_context("A1")
+    cases = [(a1, ZVector.from_list([3, 3, 2, 3, 2, 1]), k) for k in a1.colors()]
+    for fam in ("A1", "A2", "C1", "D2"):
+        ctx = make_context(fam)
+        ops = CrystalOps(ctx, None)
+        rng = random.Random(20250825)
+        for _ in range(220):
+            x = random_reachable(ops, rng, rng.randrange(0, 7))
+            cases += [(ctx, x, k) for k in ctx.colors()]
+    want = []
+    for ctx, x, k in cases:
+        window = max(x.max_pos(), ctx.period)
+        offsets = _close([seed_offset(ctx, k)], _delta(ctx, None), window).forms
+        want.append(max(0, max(-f.evaluate(x) for f in offsets)))
+    assert want[:3] == [1, 3, 0]
+
+    def refuse(_self):
+        raise AssertionError("a closure was decoded into forms")
+
+    monkeypatch.setattr(ClosureResult, "forms", property(refuse))
+    assert [epsilon_star_forms(ctx, x, k) for ctx, x, k in cases] == want
 
 
 def test_epsilon_star_forms_refuses_a_negative_entry():

@@ -21,7 +21,7 @@ from crystal_poly import (
     reaches_origin,
 )
 from crystal_poly import oracle
-from crystal_poly.inequalities import ClosureResult, epsilon_star_forms, membership_closures
+from crystal_poly.inequalities import ClosureResult, epsilon_star_forms
 from crystal_poly.oracle import (
     MAX_CANDIDATES,
     _candidate_matrix,
@@ -330,9 +330,10 @@ def test_compile_matrix_equals_the_row_by_row_reference(family):
     for lam in (None, {1: 1}):
         for margin in (1, 2):
             support = 4 * ctx.n  # the crosscheck workload's depth 4
-            forms, converged = membership_family(ctx, lam, support, margin)
+            family, converged = membership_family(ctx, lam, support, margin)
             assert converged
-            got = _compile_matrix(membership_closures(ctx, lam, support, margin), support)
+            forms = family.forms
+            got = _compile_matrix(family, support)
             want = reference_compile_matrix(forms, support)
             assert len(want[0]) > 0
             for a, b, c in zip(got, want, compile_forms(forms, support)):
@@ -372,9 +373,9 @@ def test_crosscheck_membership_limit():
 
 def test_crosscheck_refuses_too_many_candidates_before_generating(monkeypatch):
     def unreachable(*_args, **_kwargs):
-        raise AssertionError("membership_closures called over the candidate limit")
+        raise AssertionError("membership_family called over the candidate limit")
 
-    monkeypatch.setattr(oracle, "membership_closures", unreachable)
+    monkeypatch.setattr(oracle, "membership_family", unreachable)
     ctx = make_context("A1")
     with pytest.raises(RuntimeError) as err:
         crosscheck_membership(ctx, None, 7)

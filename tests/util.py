@@ -350,11 +350,27 @@ def packed_closure(forms) -> ClosureResult:
     return ClosureResult(rows, width, True, 0)
 
 
+def unpack_row(row: int, width: int) -> LinearForm:
+    """The form of one packed row of ``width`` coefficient bytes, read byte
+    by byte (the inverse of ``packed_closure``'s packing)."""
+    return LinearForm(row >> 8 * width,
+                      {p: ((row >> 8 * (p - 1)) & 255) - 128 for p in range(1, width + 1)})
+
+
+# The form-by-form test that inequalities.membership ran before it read f(x)
+# off the packed rows, kept as a reference for it.
+def reference_membership(forms, x: ZVector) -> tuple[bool, LinearForm | None]:
+    violated = [form for form in forms if form.evaluate(x) < 0]
+    if not violated:
+        return True, None
+    return False, min(violated, key=LinearForm.sort_key)
+
+
 def compile_forms(forms, support: int):
     """``oracle._compile_matrix`` on one closure holding exactly ``forms``,
     checked against the construction from forms that it replaced."""
     forms = list(forms)
-    got = _compile_matrix([packed_closure(forms)], support)
+    got = _compile_matrix(packed_closure(forms), support)
     for a, b in zip(got, fromiter_compile_matrix(forms, support)):
         assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all()
     return got
