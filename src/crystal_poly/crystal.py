@@ -5,13 +5,18 @@ word positions.  For a dominant weight the operators implement the tensor rule
 with the one-point weight crystal; with no weight (``lam=None``) they realize
 the limit crystal where the lowering operators always act.  Every operator and
 structure function reads one signature kernel, which works on a vector's dense
-row (its entries at positions 1..max_pos).
+row (its entries at positions 1..max_pos).  ``SignatureLanes`` packs the
+kernel's values into integer lanes, so that the operator BFS lowers a packed
+state with one integer addition per field.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
+from collections import Counter
 from itertools import accumulate, compress, cycle
-from operator import mul, sub
+from operator import add, itemgetter, mul, sub
 
 from .cartan import Context, node_cap
 
@@ -199,28 +204,35 @@ class CrystalOps:
         return 0 if self.lam is None else self.lam.get(k, 0)
 
     # ---- signature kernel ------------------------------------------------------
-    def _signature(self, row: tuple, k: int, last: bool = False):
-        """Color-k signature of a dense row: ``(smax, total, pos)``.
+    def _shifted(self, row: tuple, k: int):
+        """Color-k signature values of a dense row, each minus the total:
+        ``(shifted, total)``.
 
         ``total`` is the pairing-weighted entry sum, ``<h_k, alpha_color(q)>``
         times the entry at q summed over every position q.  The signature value
         at a color-k position p is the entry at p plus that weighted sum over
-        the positions right of p.  Values are taken at every color-k position
-        up to the first one past the row: there the value is 0, and it stays 0
-        further out, so the scan is complete.  ``smax`` is the largest value
-        and ``pos`` the first position attaining it (the last one with
-        ``last``).
+        the positions right of p, so ``shifted[j]``, at the j-th color-k
+        position p, is the entry at p minus the weighted sum over positions
+        1..p.  Values are taken at every color-k position up to the first one
+        past the row: there the value is 0 (``shifted`` is ``-total``), and it
+        stays 0 further out, so the scan is complete.
         """
         ctx = self.ctx
         n, f = ctx.n, ctx.first_pos(k)
         # prefix[p] = weighted sum over positions 1..p
         prefix = [*accumulate(map(mul, row, cycle(ctx.residue_pairing[k])), initial=0)]
         total = prefix[-1]
-        # value minus total at the color-k positions inside the row, then past it
-        shifted = [*map(sub, row[f - 1::n], prefix[f::n]), -total]
+        return [*map(sub, row[f - 1::n], prefix[f::n]), -total], total
+
+    def _signature(self, row: tuple, k: int, last: bool = False):
+        """Color-k signature of a dense row: ``(smax, total, pos)``, from
+        ``_shifted``.  ``smax`` is the largest signature value and ``pos``
+        the first position attaining it (the last one with ``last``).
+        """
+        shifted, total = self._shifted(row, k)
         best = max(shifted)
         j = len(shifted) - 1 - shifted[::-1].index(best) if last else shifted.index(best)
-        return best + total, total, f + j * n
+        return best + total, total, self.ctx.first_pos(k) + j * self.ctx.n
 
     def _floor(self, k: int, coupling_total: int):
         """Threshold the signature maximum competes with (None = minus infinity)."""
@@ -273,3 +285,140 @@ class CrystalOps:
             return None
         # raising acts at the last position achieving the maximum
         return x.with_delta(pos, -1)
+
+
+# array type codes by item size: one lane of a packed field is one item
+_LANE_CODES = {array(code).itemsize: code for code in "BHILQ"}
+
+
+def _pack(values, code: str) -> int:
+    """The lanes ``values`` (each in the item range of ``code``), lane 0
+    lowest, as one nonnegative int."""
+    items = array(code, values)
+    if sys.byteorder == "big":
+        items.byteswap()
+    return int.from_bytes(items.tobytes(), "little")
+
+
+def _unpack(value: int, count: int, code: str) -> array:
+    """The first ``count`` lanes of a packed int (the inverse of ``_pack``)."""
+    items = array(code, value.to_bytes(count * array(code).itemsize, "little"))
+    if sys.byteorder == "big":
+        items.byteswap()
+    return items
+
+
+class SignatureLanes:
+    """The lowering rule on packed states, for the operator BFS.
+
+    A vector reached from the origin in at most ``levels`` lowering steps is
+    held as the state ``(X, S_1, ..., S_n, W)`` of Python ints, each a row of
+    unsigned lanes of ``width`` bytes, lane 0 lowest:
+
+    * X: lane p - 1 holds the entry at position p; X alone decides equality.
+    * S_k: lane j holds ``_shifted(row, k)[j] + bias`` for the j-th color-k
+      position, j = 0..levels - 1.  Lanes past the row hold ``-total + bias``,
+      the value ``_shifted`` gives the first color-k position past the row.
+    * W: lane c - 1 holds the entry total of color c (``weight_coeffs``).
+
+    Bound.  Entries are nonnegative and sum to the level d.  A lane of S_k is
+    the entry at p minus the weighted sum over positions 1..p, in which color
+    k weighs 2 and every other color weighs 0, -1 or -2 (``|a| <= 2`` off the
+    diagonal in all four families).  So the lane lies in [-2d, 2d], both ends
+    reached (d lowerings at one color-k position, or at one color-c position
+    with ``a(k, c) = -2``), and with ``bias = 2 * levels`` every lane of every
+    field lies in [0, 4 * levels].  ``width`` is the fewest bytes (1, 2, 4
+    or 8) whose range holds that: one byte up to 63 levels, two up to 16383.
+    Deeper searches widen the lanes; they never wrap.
+
+    Lowering from level d < levels acts at a color-k position inside the row
+    or at the first one past it; the row ends by position d * n, so that is
+    lane d or lower, and ``levels`` lanes suffice.  Among the lanes, the
+    first largest is the first position attaining the signature maximum, as
+    in ``_signature``; ``steps[k][j]`` is what lowering at lane j of color k
+    adds to each field.
+    """
+
+    def __init__(self, ops: CrystalOps, levels: int):
+        ctx = ops.ctx
+        n, first = ctx.n, ctx.first_pos
+        self.ops, self.levels = ops, levels
+        self.width = 1
+        while 4 * levels >= 256 ** self.width:
+            self.width *= 2
+        self.code = _LANE_CODES[self.width]
+        self.bias = 2 * levels
+        bits = 8 * self.width
+        # tail[j]: one in every lane from j on
+        tail = [0] * (levels + 1)
+        for j in range(levels - 1, -1, -1):
+            tail[j] = tail[j + 1] + (1 << bits * j)
+
+        def step(pos):
+            c = ctx.color_of(pos)
+            fields = [1 << bits * (pos - 1)]
+            for m in ctx.colors():
+                # the color-m lanes at or after pos: their prefix gains a(m, c)
+                j = -(-(pos - first(m)) // n)
+                fields.append(-ctx.cartan[m - 1][c - 1] * tail[j] + (m == c) * (1 << bits * j))
+            fields.append(1 << bits * (c - 1))
+            return tuple(fields)
+
+        self.steps = {k: [step(first(k) + j * n) for j in range(levels)] for k in ctx.colors()}
+
+    def pack(self, row: tuple) -> tuple:
+        """The state of a dense row at level <= ``levels``."""
+        ops, code, levels, bias = self.ops, self.code, self.levels, self.bias
+        state = [_pack(row, code)]
+        for k in ops.ctx.colors():
+            shifted, _ = ops._shifted(row, k)
+            lanes = shifted[:levels] + shifted[-1:] * (levels - len(shifted))
+            state.append(_pack([v + bias for v in lanes], code))
+        state.append(_pack(ops.weight_coeffs(ZVector._make(row)), code))
+        return tuple(state)
+
+    def lanes(self, field: int) -> array:
+        """The ``levels`` lanes of an S field."""
+        return _unpack(field, self.levels, self.code)
+
+    def row(self, state: tuple) -> tuple:
+        """The dense row of a state, read off its X field."""
+        x = state[0]
+        if self.width == 1:
+            return tuple(x.to_bytes((x.bit_length() + 7) // 8, "little"))
+        return tuple(_unpack(x, -(-x.bit_length() // (8 * self.width)), self.code))
+
+    def tally(self, level) -> dict[tuple[int, ...], int]:
+        """How many states of ``level`` have each per-color entry total."""
+        n, code = self.ops.ctx.n, self.code
+        return {tuple(_unpack(w, n, code)): count
+                for w, count in Counter(map(itemgetter(-1), level)).items()}
+
+    def lower(self, level, room: int) -> list:
+        """The distinct children of the states of level d < ``levels``, in the
+        order the lowerings first reach them, parent by parent and color by
+        color; at most ``room + 1`` of them, the search stopping there.
+
+        f_k acts at the first largest S_k lane unless that lane is at most
+        ``bias - lam_k``: ``_lower``'s floor test with the total cancelled
+        out (the limit crystal has no floor).  The child is the state plus
+        the step, field by field.
+        """
+        ops, count, view = self.ops, self.levels, self.lanes
+        narrow = self.width == 1
+        plan = [(k, -1 if ops.lam is None else self.bias - ops.lam_pairing(k), self.steps[k])
+                for k in ops.ctx.colors()]
+        nxt = {}
+        for state in level:
+            x = state[0]
+            for k, cut, steps in plan:
+                lane = state[k].to_bytes(count, "little") if narrow else view(state[k])
+                best = max(lane)
+                if best > cut:
+                    step = steps[lane.index(best)]
+                    y = x + step[0]
+                    if y not in nxt:
+                        nxt[y] = tuple(map(add, state, step))
+                        if len(nxt) > room:
+                            return [*nxt.values()]
+        return [*nxt.values()]

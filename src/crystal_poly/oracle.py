@@ -13,8 +13,8 @@ from itertools import chain
 from math import comb
 from typing import TYPE_CHECKING
 
-from .cartan import Context
-from .crystal import CrystalOps, ZVector
+from .cartan import Context, node_cap
+from .crystal import CrystalOps, SignatureLanes, ZVector
 from .inequalities import ClosureResult, membership_family, node_cap_error
 
 if TYPE_CHECKING:
@@ -29,44 +29,64 @@ MAX_CANDIDATES = 150_000
 # --------------------------------------------------------------------------------
 
 
+def _levels(ops: CrystalOps, depth: int):
+    """The operator BFS from the origin: yields ``(layout, level)`` for levels
+    0..depth, each level a list of packed states (``SignatureLanes.lower``),
+    and stops after the last nonempty level.
+
+    The lanes cover 16 levels, and twice as many each time the search gets
+    deeper; the level at hand is then packed afresh from its rows.  Nothing
+    is sized by ``depth`` itself.  Raises ``RuntimeError`` before the nodes
+    kept over all levels would pass ``node_cap()``.
+    """
+    cap = node_cap()
+    layout = SignatureLanes(ops, min(depth, 16))
+    level = [layout.pack(())]
+    kept = 1
+    for d in range(depth):
+        yield layout, level
+        if d == layout.levels:
+            rows = [*map(layout.row, level)]
+            layout = SignatureLanes(ops, min(depth, 2 * d))
+            level = [*map(layout.pack, rows)]
+        level = layout.lower(level, cap - kept)
+        if len(level) > cap - kept:
+            raise RuntimeError(
+                f"operator BFS hit the node cap of {cap} nodes (CRYSTAL_POLY_NODE_CAP) "
+                f"at level {d + 1} of depth {depth}: {cap} nodes kept")
+        if not level:
+            return
+        kept += len(level)
+    yield layout, level
+
+
 def generate_closure(ops: CrystalOps, depth: int):
     """Vectors reachable from the origin by at most ``depth`` lowering steps.
 
     Returns (set of vectors, levels list).  Each lowering step grows the entry
     sum by exactly one, so level d holds precisely the size-d elements, and a
     child of level d can only repeat another child of level d: each level is
-    deduplicated on its own.
+    deduplicated on its own, first reach first.  The list ends at the last
+    nonempty level: once a level is empty, so is every later one.
 
-    The search runs on the vectors' dense rows (see ``ZVector``), so a step
-    builds and hashes one tuple; once the search ends the rows of each level
-    become vectors in place.
+    The search runs on packed states (``crystal.SignatureLanes``: X holds the
+    entries one lane per position, S_k the color-k signature lanes, W the
+    color totals), so a lowering costs a few C-level calls and one integer
+    addition per field; the X lanes of each level become vectors once the
+    search ends.  More than ``node_cap()`` nodes is a ``RuntimeError``.
     """
-    colors = ops.ctx.colors()
-    lower = ops._lower
-    level = [()]
-    levels = [level]
-    for _ in range(depth):
-        seen, nxt = set(), []
-        for row in level:
-            for k in colors:
-                y = lower(row, k)
-                if y is not None and y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        levels.append(nxt)
-        level = nxt
-    for level in levels:
-        level[:] = map(ZVector._make, level)
+    levels = [[*map(ZVector._make, map(layout.row, level))]
+              for layout, level in _levels(ops, depth)]
     return set(chain.from_iterable(levels)), levels
 
 
 def weight_graded_counts(ops: CrystalOps, depth: int) -> dict[tuple[int, ...], int]:
-    """Element counts per per-color entry total, over the depth closure."""
-    closure, _ = generate_closure(ops, depth)
+    """Element counts per per-color entry total (``weight_coeffs``), over the
+    depth closure: the W fields of the BFS states, tallied level by level,
+    without a vector built."""
     out: dict[tuple[int, ...], int] = {}
-    for x in closure:
-        w = ops.weight_coeffs(x)
-        out[w] = out.get(w, 0) + 1
+    for layout, level in _levels(ops, depth):
+        out.update(layout.tally(level))
     return out
 
 

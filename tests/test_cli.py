@@ -195,6 +195,9 @@ ENUMERATE_DIGESTS = [
     ("A1", (2, 1, 3), {1: 1}, 10, "bcccb77df26ee6e2f1966b424406d2299fdda1c5978b7102fbff7a4d51d8f362"),
     ("C1", (1, 2, 3), None, 9, "fd45a12b3d799db4bf354aa34abd45289325e1b54ed11c1099a65d863237a2c1"),
     ("D2", (1, 2, 3), {1: 1, 2: 1}, 8, "ab8afe846675c331d25a31eb223cb9bc3a0843cc610dbacafee470a46d79a757"),
+    ("A2", (3, 2, 1), {1: 1, 2: 1}, 9, "b89a76a9b1ec671f4b254c3baf7064cb019bf166e815236585f84d14b2c194a5"),
+    ("D2", (2, 1, 3), {3: 2}, 9, "1003487cec8bc3440fe92aa1e369f2429d61a9e3002f13d95e72fbeb562972dd"),
+    ("C1", (3, 2, 1), None, 9, "fd45a12b3d799db4bf354aa34abd45289325e1b54ed11c1099a65d863237a2c1"),
 ]
 
 
@@ -366,13 +369,30 @@ def test_crosscheck_with_weight_and_window(tmp_path, capsys):
 
 def test_crosscheck_node_cap_names_its_numbers(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CRYSTAL_POLY_NODE_CAP", "5")
-    cfg = write_cfg(tmp_path)
+    # the weight omega_1 keeps the operator BFS at 4 nodes, under the cap
+    cfg = write_cfg(tmp_path, lam={1: 1})
     rc = main(["--config", cfg, "crosscheck", "--depth", "2"])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     # support depth * n = 6, closure bound 6 + 1 period of 3
     assert captured.err.startswith("error: inequality generation hit the node cap of 5 "
                                    "forms (support 6, closure bound 9)")
+
+
+def test_operator_bfs_node_cap_names_its_numbers(tmp_path, capsys, monkeypatch):
+    cfg = write_cfg(tmp_path)
+    for cap, argv, msg in [
+        # levels 0..7 keep 754 nodes, level 8 holds 693
+        ("1000", ["enumerate", "--depth", "14"], "at level 8 of depth 14: 1000 nodes kept"),
+        # levels 0 and 1 keep 4 nodes, level 2 holds 9
+        ("5", ["crosscheck", "--depth", "2"], "at level 2 of depth 2: 5 nodes kept"),
+    ]:
+        monkeypatch.setenv("CRYSTAL_POLY_NODE_CAP", cap)
+        rc = main(["--config", cfg, *argv])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == (f"error: operator BFS hit the node cap of {cap} nodes "
+                                f"(CRYSTAL_POLY_NODE_CAP) {msg}\n")
 
 
 @pytest.mark.parametrize("family,word,lam", [("A1", (2, 1, 3), None), ("C1", (1, 2, 3), {1: 1})])

@@ -21,6 +21,7 @@ from crystal_poly import (
     reaches_origin,
 )
 from crystal_poly import oracle
+from crystal_poly.crystal import SignatureLanes
 from crystal_poly.inequalities import ClosureResult, epsilon_star_forms
 from crystal_poly.oracle import (
     MAX_CANDIDATES,
@@ -37,6 +38,7 @@ from util import (
     make_context,
     reference_candidate_matrix,
     reference_compile_matrix,
+    reference_closure,
     reference_feasible,
     reference_reaches_origin,
 )
@@ -83,6 +85,98 @@ def test_fundamental_weight_closure_frozen():
     assert len(closure) == 4
     assert levels[1] == [ZVector({2: 1})]
     assert set(levels[2]) == {ZVector({2: 1, 3: 1}), ZVector({2: 1, 4: 1})}
+
+
+# ----------------------------------------------------------------------------------
+# The operator BFS on packed signature lanes
+# ----------------------------------------------------------------------------------
+
+LAMS4 = [None, {1: 1}, {1: 1, 2: 1}, {3: 2}]
+
+
+def _weight_tally(ops, closure):
+    return dict(Counter(map(ops.weight_coeffs, closure)))
+
+
+@pytest.mark.parametrize("family,word", GRID8)
+def test_closure_levels_equal_the_reference_bfs(family, word):
+    ctx = Context(family, 3, word)
+    for lam in LAMS4:
+        ops = CrystalOps(ctx, lam)
+        closure, levels = generate_closure(ops, 8)
+        want_closure, want_levels = reference_closure(ops, 8)
+        assert levels == want_levels, lam  # in order, level by level
+        assert closure == want_closure
+        assert weight_graded_counts(ops, 8) == _weight_tally(ops, want_closure)
+
+
+def test_deep_closure_equals_the_reference_bfs():
+    # the lanes grow from 16 to 32 to 60 levels, each time packed afresh
+    ops = CrystalOps(Context("A1", 2, (2, 1)), {2: 1})
+    closure, levels = generate_closure(ops, 60)
+    want_closure, want_levels = reference_closure(ops, 60)
+    assert len(closure) == 101_983
+    assert levels == want_levels
+    assert weight_graded_counts(ops, 60) == _weight_tally(ops, want_closure)
+
+
+def _lane_walk(layout, ops, ks):
+    """Lower from the origin at the colors ``ks`` through ``layout.lower``,
+    checking every state against the one packed from ``apply_f``'s row.  In
+    the limit crystal every color acts, each at its own position, so the
+    children come one per color in color order."""
+    x, state = ZVector.ZERO, layout.pack(())
+    for k in ks:
+        state = layout.lower([state], ops.ctx.n)[k - 1]
+        x = ops.apply_f(x, k)
+        assert state == layout.pack(x._row)
+        assert layout.row(state) == x._row
+        assert layout.tally([state]) == {ops.weight_coeffs(x): 1}
+        for k2 in ops.ctx.colors():
+            shifted, _ = ops._shifted(x._row, k2)
+            shifted += shifted[-1:] * layout.levels
+            assert list(layout.lanes(state[k2])) == [
+                v + layout.bias for v in shifted[:layout.levels]]
+
+
+@pytest.mark.parametrize("levels,width", [(8, 1), (63, 1), (64, 2), (70, 2)])
+def test_signature_lanes_hold_their_bound(levels, width):
+    # d lowerings at one color reach both ends of [-2d, 2d] in the limit
+    # crystal of A1 at rank 2 (a(1, 2) = -2): lanes 0 and 4 * levels
+    rng = random.Random(levels)
+    for ctx in (Context("A1", 2, (2, 1)), Context("C1", 3, (3, 2, 1))):
+        ops = CrystalOps(ctx, None)
+        layout = SignatureLanes(ops, levels)
+        assert (layout.width, layout.bias) == (width, 2 * levels)
+        for k in ctx.colors():
+            _lane_walk(layout, ops, [k] * levels)
+        _lane_walk(layout, ops, [rng.choice(ctx.colors()) for _ in range(levels)])
+    ops = CrystalOps(Context("A1", 2, (2, 1)), None)
+    layout = SignatureLanes(ops, levels)
+    top = layout.pack((levels,))  # f_2 applied levels times, at position 1
+    assert (min(layout.lanes(top[2])), max(layout.lanes(top[1]))) == (0, 4 * levels)
+
+
+def test_closure_honours_the_node_cap(monkeypatch):
+    monkeypatch.setenv("CRYSTAL_POLY_NODE_CAP", "1000")
+    ops = CrystalOps(make_context("A1"), None)
+    for search in (generate_closure, weight_graded_counts):
+        with pytest.raises(RuntimeError) as err:
+            search(ops, 14)
+        # levels 0..7 keep 754 nodes, level 8 (693 nodes) passes the cap
+        assert str(err.value) == ("operator BFS hit the node cap of 1000 nodes "
+                                  "(CRYSTAL_POLY_NODE_CAP) at level 8 of depth 14: "
+                                  "1000 nodes kept")
+    assert sum(weight_graded_counts(ops, 7).values()) == 754
+
+
+def test_closure_is_not_sized_by_the_requested_depth():
+    # the zero weight: the origin alone, every later level empty
+    ops = CrystalOps(make_context("A1"), {})
+    t0 = time.perf_counter()
+    assert weight_graded_counts(ops, 10**6) == {(0, 0, 0): 1}
+    assert generate_closure(ops, 10**6) == ({ZVector.ZERO}, [[ZVector.ZERO]])
+    assert time.perf_counter() - t0 < 2.0
 
 
 # ----------------------------------------------------------------------------------

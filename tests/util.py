@@ -406,6 +406,32 @@ def reference_feasible(coeffs, consts, support: int, depth: int) -> set:
     return {tuple(int(v) for v in cands[i]) for i in alive}
 
 
+# The dense-row BFS that oracle.generate_closure ran before it moved to
+# packed signature lanes, kept as a reference for it.
+def reference_closure(ops: CrystalOps, depth: int):
+    """(set of vectors, levels list) reachable from the origin in at most
+    ``depth`` lowerings, one ``_lower`` call per node and color, each level
+    deduplicated on its own in first-reach order; all ``depth + 1`` levels
+    are listed, empty ones included."""
+    colors = ops.ctx.colors()
+    lower = ops._lower
+    level = [()]
+    levels = [level]
+    for _ in range(depth):
+        seen, nxt = set(), []
+        for row in level:
+            for k in colors:
+                y = lower(row, k)
+                if y is not None and y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        levels.append(nxt)
+        level = nxt
+    for level in levels:
+        level[:] = map(ZVector._make, level)
+    return set(chain.from_iterable(levels)), levels
+
+
 # ----------------------------------------------------------------------------------
 # Reusable randomized checkers.
 # ----------------------------------------------------------------------------------
