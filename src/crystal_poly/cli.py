@@ -135,9 +135,12 @@ def cmd_check(ctx: Context, lam: dict | None, args) -> int:
 def cmd_enumerate(ctx: Context, lam: dict | None, args) -> int:
     counts = weight_graded_counts(CrystalOps(ctx, lam), args.depth)
     # each lowering step adds one to the entry sum, so depth d is entry sum d
-    for d in range(args.depth + 1):
-        print(f"depth {d}: {sum(c for w, c in counts.items() if sum(w) == d)}")
-    print(f"total: {sum(counts.values())}")
+    by_depth = [0] * (args.depth + 1)
+    for w, c in counts.items():
+        by_depth[sum(w)] += c
+    for d, c in enumerate(by_depth):
+        print(f"depth {d}: {c}")
+    print(f"total: {sum(by_depth)}")
     for w in sorted(counts):
         print("colors " + ",".join(map(str, w)) + f": {counts[w]}")
     return 0

@@ -223,16 +223,10 @@ def _zero_row(width: int) -> int:
     return int.from_bytes(bytes([_BIAS]) * width, "little")
 
 
-def _past(width: int, window: int) -> tuple[int, int]:
-    """The mask of a packed row's coefficient bytes past ``window``, and
-    their value when every coefficient there is zero."""
-    tail = ((1 << 8 * width) - 1) ^ ((1 << 8 * min(window, width)) - 1)
-    return tail, _zero_row(width) & tail
-
-
 class ClosureResult:
     """The forms a closure kept, as the packed rows of ``_close`` (see
-    there), each with ``width`` coefficient bytes.
+    there), each with ``width`` coefficient bytes: no kept form reaches past
+    ``width``.
 
     No ``LinearForm`` is built until a caller asks for one: ``forms``
     decodes every row on first access and keeps the result (iterating the
@@ -304,7 +298,9 @@ class ClosureResult:
             return frozenset(f for f in self._forms if f.max_pos() <= window)
         if window < 0:
             return frozenset()
-        tail, zero = _past(self.width, window)
+        # the coefficient bytes past the window, and their value when all are zero
+        tail = ((1 << 8 * self.width) - 1) ^ ((1 << 8 * min(window, self.width)) - 1)
+        zero = _zero_row(self.width) & tail
         return self._decode([row for row in self.rows if row & tail == zero])
 
     def restriction(self, support: int) -> tuple[bytes, list[int]]:
@@ -327,16 +323,16 @@ def _span_error(coeff: int, pos: int) -> RuntimeError:
 
 def _close(seeds, delta, bound: int) -> ClosureResult:
     """Breadth-first closure of ``seeds`` under the step ``delta`` (see
-    ``_delta``), keeping forms whose last position is at most ``bound``.
+    ``_delta``), keeping every form inside its width: the bound, or the last
+    seed position if that lies further out.
 
     Inside the search a form is one packed ``int``, its row: byte ``p - 1``
     holds the coefficient at position ``p`` plus ``_BIAS``, for ``p`` in
-    ``1..width`` (``width`` is the bound, or the last seed position if that
-    lies further out), and the constant, of any size, sits above those
-    bytes.  A step's form depends only on (position, sign), so each is
-    packed once per call, when first needed, with unbiased coefficients; a
-    step is then one integer addition.  Translating a row's bytes through
-    ``_CLASSES`` gives its nonzero positions and their signs.
+    ``1..width``, and the constant, of any size, sits above those bytes.  A
+    step's form depends only on (position, sign), so each is packed once per
+    call, when first needed, with unbiased coefficients; a step is then one
+    integer addition.  Translating a row's bytes through ``_CLASSES`` gives
+    its nonzero positions and their signs.
 
     No carry: the addition is exact byte by byte as long as every sum stays
     in ``0..255``.  Seeds and step forms must have coefficients within
@@ -347,9 +343,9 @@ def _close(seeds, delta, bound: int) -> ClosureResult:
     a row never wraps into its neighbour.
 
     A step form reaching past ``width`` counts as pruned and builds
-    nothing.  A form that leaves the bound counts as pruned; once
-    ``node_cap()`` forms are kept the search stops, unconverged.  The kept
-    rows are the result's, undecoded (see ``ClosureResult``).
+    nothing, so no row ever leaves the width.  Once ``node_cap()`` forms are
+    kept the search stops, unconverged.  The kept rows are the result's,
+    undecoded (see ``ClosureResult``).
     """
     cap = node_cap()
     start = set(seeds)
@@ -372,8 +368,6 @@ def _close(seeds, delta, bound: int) -> ClosureResult:
     slots = [[p, unset, unset] for p in range(1, width + 1)]
     queue = deque(zero + pack(f) for f in start)
     seen = set(queue)
-    # rows may hold terms past the bound when the seeds do
-    tail, tail_zero = _past(width, bound)
     pruned = 0
     converged = True
     while queue:
@@ -395,9 +389,6 @@ def _close(seeds, delta, bound: int) -> ClosureResult:
             new = row + step
             if new in seen:
                 continue
-            if tail and new & tail != tail_zero:
-                pruned += 1
-                continue
             if len(seen) >= cap:
                 converged = False
                 queue.clear()
@@ -409,8 +400,11 @@ def _close(seeds, delta, bound: int) -> ClosureResult:
 
 def _bound(ctx: Context, window: int, margin_periods: int = 2) -> int:
     """The one margin convention: closures run ``margin_periods`` word periods
-    past the window."""
-    return window + margin_periods * ctx.period
+    past the window, and never less than one period out.  Every seed of the
+    entry points (the variables, each color's weight seed and seed offset)
+    then lies inside the bound, so each of their closures has width the
+    bound."""
+    return max(window + margin_periods * ctx.period, ctx.period)
 
 
 def _variables(bound: int) -> list[LinearForm]:
@@ -459,26 +453,6 @@ def offset_closure_for_color(ctx: Context, k: int, window: int) -> ClosureResult
     return _close([seed_offset(ctx, k)], _delta(ctx, None), _bound(ctx, window))
 
 
-def _union(parts) -> ClosureResult:
-    """One result whose rows are the union of the parts' rows, undecoded.
-
-    A part narrower than the widest is re-packed to that width first:
-    zero coefficients at the positions in between, the constant moved up
-    above them.
-    """
-    width = max(res.width for res in parts)
-    rows = set()
-    for res in parts:
-        if res.width == width:
-            rows.update(res.rows)
-            continue
-        shift, low = 8 * res.width, (1 << 8 * res.width) - 1
-        pad = _zero_row(width) ^ _zero_row(res.width)
-        rows.update(((row >> shift) << 8 * width) + (row & low) + pad for row in res.rows)
-    return ClosureResult(rows, width, all(res.converged for res in parts),
-                         sum(res.pruned for res in parts))
-
-
 def membership_family(ctx: Context, lam, support: int,
                       margin_periods: int = 1) -> tuple[ClosureResult, bool]:
     """Inequality family adequate for deciding membership of vectors supported
@@ -487,17 +461,21 @@ def membership_family(ctx: Context, lam, support: int,
     The limit closure of the variables (shared across weights, see
     ``_plain_closure``, and returned itself when ``lam`` is None) united, in
     the highest-weight case, with the closure of each color's boundary seed,
-    all at the bound ``margin_periods`` word periods past ``support``.
-    Terms at positions beyond ``support`` evaluate to zero on such vectors,
-    so only each form's restriction to the support matters; generating out
-    to a margin and keeping every form can only sharpen the test, never
-    wrongly reject a member.
+    all at the bound ``margin_periods`` word periods past ``support`` (see
+    ``_bound``).  Every part then has that bound as its width, so the union
+    is the plain set union of the parts' rows, undecoded.  Terms at
+    positions beyond ``support`` evaluate to zero on such vectors, so only
+    each form's restriction to the support matters; generating out to a
+    margin and keeping every form can only sharpen the test, never wrongly
+    reject a member.
     """
     bound = _bound(ctx, support, margin_periods)
     res = _plain_closure(ctx, bound)
     if lam is not None:
-        res = _union([res] + [_close([weight_seed(ctx, lam, k)], _delta(ctx, lam), bound)
-                              for k in ctx.colors()])
+        parts = [res] + [_close([weight_seed(ctx, lam, k)], _delta(ctx, lam), bound)
+                         for k in ctx.colors()]
+        res = ClosureResult(set().union(*(r.rows for r in parts)), bound,
+                            all(r.converged for r in parts), sum(r.pruned for r in parts))
     return res, res.converged
 
 

@@ -222,10 +222,10 @@ def _candidate_matrix(support: int, total: int, *, matrix) -> np.ndarray:
         room = room[parent] - value
 
 
-def _feasible_tuples(ctx: Context, lam, depth: int, support: int, margin: int):
-    family, converged = membership_family(ctx, lam, support, margin)
+def _feasible_tuples(ctx: Context, lam, depth: int, support: int):
+    family, converged = membership_family(ctx, lam, support, 1)
     if not converged:
-        raise node_cap_error(ctx, support, margin)
+        raise node_cap_error(ctx, support, 1)
     matrix = _compile_matrix(family, support)
     rows = _candidate_matrix(support, depth, matrix=matrix)
     return set(map(tuple, rows.tolist())), len(matrix[0])
@@ -238,9 +238,9 @@ def crosscheck_membership(
 
     Scans every nonnegative vector with entry sum at most ``depth`` supported
     on the first ``window`` positions (default: depth word-lengths, grown if a
-    closure element needs more room).  On a first-pass mismatch the inequality
-    family is regenerated with one more period of margin; if that repairs the
-    mismatch the report is flagged window sensitive.
+    closure element needs more room) in one pass against the membership family
+    one word period past the window.  The report keeps ``margin_periods`` (1)
+    and ``window_sensitive`` (false) as constant fields.
     """
     t0 = time.perf_counter()
     ops = CrystalOps(ctx, lam)
@@ -254,16 +254,7 @@ def crosscheck_membership(
             f"crosscheck needs {candidates} candidates (support {support}, "
             f"depth {depth}), over the limit of {MAX_CANDIDATES}")
 
-    margin_used = 1
-    window_sensitive = False
-    feasible, active_forms = _feasible_tuples(ctx, lam, depth, support, margin_used)
-    if feasible != closure_set:
-        retry = margin_used + 1
-        feasible2, active2 = _feasible_tuples(ctx, lam, depth, support, retry)
-        if feasible2 == closure_set:
-            window_sensitive = True
-            margin_used, feasible, active_forms = retry, feasible2, active2
-
+    feasible, active_forms = _feasible_tuples(ctx, lam, depth, support)
     mismatches = [
         {"vector": list(t), "side": "feasible_only"}
         for t in sorted(feasible - closure_set)
@@ -279,13 +270,13 @@ def crosscheck_membership(
         "depth": depth,
         "support_positions": support,
         "window": support,
-        "margin_periods": margin_used,
+        "margin_periods": 1,
         "active_forms": active_forms,
         "candidates": candidates,
         "feasible": len(feasible),
         "closure": len(closure_set),
         "matched": not mismatches,
-        "window_sensitive": window_sensitive,
+        "window_sensitive": False,
         "mismatches": mismatches,
         "seconds": round(time.perf_counter() - t0, 3),
     }

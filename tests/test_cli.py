@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from crystal_poly import Context, CrystalOps, epsilon_star_oracle, shapes
+from crystal_poly import Context, CrystalOps, crosscheck_membership, epsilon_star_oracle, shapes
+from crystal_poly import oracle
 from crystal_poly.cli import main
 from crystal_poly.crystal import ZVector
 from crystal_poly.oracle import random_reachable
@@ -365,6 +366,38 @@ def test_crosscheck_with_weight_and_window(tmp_path, capsys):
     assert report["matched"] is True
     assert report["lambda"] == {"1": 1}
     assert report["window"] == 7
+
+
+def test_crosscheck_makes_one_feasibility_pass_even_on_a_mismatch(tmp_path, capsys,
+                                                                  monkeypatch):
+    # a matrix with its rows dropped admits the whole box, so feasible_only
+    # mismatches appear; no second pass is tried
+    compile_matrix, feasible_tuples = oracle._compile_matrix, oracle._feasible_tuples
+    calls = []
+
+    def no_rows(family, support):
+        coeffs, consts, starts = compile_matrix(family, support)
+        return coeffs[:0], consts[:0], starts * 0
+
+    def counted(*args):
+        calls.append(args)
+        return feasible_tuples(*args)
+
+    monkeypatch.setattr(oracle, "_compile_matrix", no_rows)
+    monkeypatch.setattr(oracle, "_feasible_tuples", counted)
+    report = crosscheck_membership(Context("A1", 3, (2, 1, 3)), {1: 1}, 2)
+    assert len(calls) == 1
+    assert report["matched"] is False and report["active_forms"] == 0
+    assert report["feasible"] == report["candidates"] == 28 and report["closure"] == 4
+    assert {m["side"] for m in report["mismatches"]} == {"feasible_only"}
+    assert report["margin_periods"] == 1 and report["window_sensitive"] is False
+
+    calls.clear()
+    cfg = write_cfg(tmp_path, lam={1: 1})
+    rc = main(["--config", cfg, "crosscheck", "--depth", "2"])
+    assert rc == 1 and len(calls) == 1
+    assert {k: v for k, v in json.loads(capsys.readouterr().out).items() if k != "seconds"} == {
+        k: v for k, v in report.items() if k != "seconds"}
 
 
 def test_crosscheck_node_cap_names_its_numbers(tmp_path, capsys, monkeypatch):

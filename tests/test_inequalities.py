@@ -275,8 +275,8 @@ def _closure_cases(ctx, window):
                       [weight_seed(ctx, W1, k)]))
         cases.append(("offset", offset_closure_for_color(ctx, k, window), None,
                       [seed_offset(ctx, k)]))
-    # seeds past the bound: the search runs wider than the bound and prunes
-    # every step form that does not come back inside it
+    # seeds past the bound: the search runs at the seeds' reach and keeps
+    # every form inside it
     bound = _bound(ctx, window)
     past = [weight_seed(ctx, W1, 1), LinearForm(0, {bound + 1: -1}),
             LinearForm(0, {2: 1, bound + ctx.period: -1})]
@@ -284,12 +284,18 @@ def _closure_cases(ctx, window):
     return cases
 
 
+def _reach(ctx, window, seeds):
+    """The bound ``_close`` runs at: the entry points' bound, or the last
+    seed position if that lies further out."""
+    return max([_bound(ctx, window)] + [f.max_pos() for f in seeds])
+
+
 @pytest.mark.parametrize("family,word", GRID8)
 def test_close_matches_reference_driver(family, word):
     ctx = make_context(family, word)
-    for window in (1, 2, 3, 4, 6):  # at 1 and 2 the "past" seeds take the tail path
+    for window in (1, 2, 3, 4, 6):
         for name, res, lam, seeds in _closure_cases(ctx, window):
-            want = reference_close(ctx, lam, seeds, _bound(ctx, window))
+            want = reference_close(ctx, lam, seeds, _reach(ctx, window, seeds))
             assert (res.forms, res.converged, res.pruned) == want, (name, window)
             assert res.converged
 
@@ -300,7 +306,7 @@ def test_close_matches_reference_driver_when_capped(family, word, monkeypatch):
     ctx = make_context(family, word)
     for window in (3, 4):
         for name, res, lam, seeds in _closure_cases(ctx, window):
-            want = reference_close(ctx, lam, seeds, _bound(ctx, window))
+            want = reference_close(ctx, lam, seeds, _reach(ctx, window, seeds))
             assert (res.forms, res.converged, res.pruned) == want, (name, window)
             if name in ("limit", "weight"):
                 assert not res.converged and len(res.forms) == 50
@@ -588,18 +594,19 @@ def test_a_member_query_decodes_no_row(monkeypatch):
     assert union._forms is None and plain._forms is None  # the witness is not kept
 
 
-def test_membership_family_repacks_narrower_parts_to_the_widest():
-    # below one period the boundary seeds reach past the bound, so the
-    # plain closure and the boundary closures have different widths
+def test_membership_family_is_the_union_of_parts_one_period_wide():
+    # the bound never drops below one period, where every boundary seed
+    # lies, so even at support 1 and no margin all parts share one width
     ctx = make_context("A1")  # word 2,1,3
     parts = _membership_parts(ctx, W1, 1, 0)
-    assert [res.width for res in parts] == [1, 2, 1, 3]
+    assert [res.width for res in parts] == [ctx.period] * (1 + ctx.n)
     res, converged = membership_family(ctx, W1, 1, 0)
-    assert converged and res.width == 3
+    assert converged and res.width == ctx.period
+    assert res.rows == set().union(*(r.rows for r in parts))
     assert res.forms == frozenset().union(*(r.forms for r in parts))
     assert len(res) == len(res.forms) == len(list(res))
     for x in (ZVector.ZERO, ZVector({1: 1}), ZVector({1: 2, 2: -1, 3: 70}), ZVector({3: 1, 5: 1})):
-        assert res.values(x) == [unpack_row(row, 3).evaluate(x) for row in res.rows]
+        assert res.values(x) == [unpack_row(row, res.width).evaluate(x) for row in res.rows]
         assert membership(res, x) == reference_membership(res.forms, x)
 
 
