@@ -113,22 +113,26 @@ def cmd_gen_ineq(ctx: Context, lam: dict, args) -> int:
     return 0 if converged else 2
 
 
+def _verdict(ctx: Context, lam, x: ZVector, margin: int):
+    """x against the membership family: ``(family, support, witness text or None)``."""
+    support = max(x.max_pos(), ctx.n)
+    family, converged = membership_family(ctx, lam, support, margin)
+    if not converged:
+        raise node_cap_error(ctx, support, margin)
+    ok, form = membership(family, x)
+    return family, support, None if ok else f"{form.render(ctx)} evaluates to {form.evaluate(x)}"
+
+
 def cmd_check(ctx: Context, lam: dict | None, args) -> int:
     x = ZVector.parse(args.vector, ctx)
     if not x.nonnegative():
         print("not a member: negative entry")
         return 1
-    support = max(x.max_pos(), ctx.n)
-    family, converged = membership_family(ctx, lam, support, margin_periods=2)
-    if not converged:
-        raise node_cap_error(ctx, support, 2)
-    ok, witness = membership(family, x)
-    if ok:
+    family, support, witness = _verdict(ctx, lam, x, 2)
+    if witness is None:
         print(f"member ({len(family)} forms checked, support {support})")
         return 0
-    print(
-        f"not a member: {witness.render(ctx)} evaluates to {witness.evaluate(x)}"
-    )
+    print(f"not a member: {witness}")
     return 1
 
 
@@ -151,14 +155,9 @@ def cmd_epsilon_star(ctx: Context, args) -> int:
     if args.method == "forms" and x.nonnegative():
         # every closure form is a valid inequality: a negative one proves x
         # lies outside the limit crystal, where no starred value is defined
-        support = max(x.max_pos(), ctx.n)
-        family, converged = membership_family(ctx, None, support, 0)
-        if not converged:
-            raise node_cap_error(ctx, support, 0)
-        ok, witness = membership(family, x)
-        if not ok:
-            raise ValueError(f"vector is outside the limit crystal: {witness.render(ctx)} "
-                             f"evaluates to {witness.evaluate(x)}")
+        witness = _verdict(ctx, None, x, 0)[2]
+        if witness is not None:
+            raise ValueError(f"vector is outside the limit crystal: {witness}")
     ks = [args.k] if args.k is not None else list(ctx.colors())
     disagree = False
     lines = []
@@ -234,6 +233,8 @@ def main(argv=None) -> int:
             raise ValueError(f"lambda colors {sorted(lam)} must lie in 1..{ctx.n}")
         if getattr(args, "k", None) not in (None, *ctx.colors()):
             raise ValueError(f"--k {args.k} must lie in 1..{ctx.n}")
+        if getattr(args, "mode", None) == "comb-limit" and args.k is not None:
+            raise ValueError("--k does not apply to --mode comb-limit")
         for name in ("depth", "window"):
             if (getattr(args, name, None) or 0) < 0:
                 raise ValueError(f"--{name} must be nonnegative")

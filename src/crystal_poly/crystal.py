@@ -7,7 +7,8 @@ the limit crystal where the lowering operators always act.  Every operator and
 structure function reads one signature kernel, which works on a vector's dense
 row (its entries at positions 1..max_pos).  ``SignatureLanes`` packs the
 kernel's values into integer lanes, so that the operator BFS lowers a packed
-state with one integer addition per field.
+state with one integer addition per field; those additions are read off the
+packing itself, so ``CrystalOps._shifted`` is the one statement of the rule.
 """
 
 from __future__ import annotations
@@ -337,34 +338,27 @@ class SignatureLanes:
     first largest is the first position attaining the signature maximum, as
     in ``_signature``; ``steps[k][j]`` is what lowering at lane j of color k
     adds to each field.
+
+    Steps.  Every field of ``pack(row)`` is linear in the row, up to the
+    bias: lane j of S_k is the entry at the j-th color-k position minus the
+    weighted sum over positions up to it, also past the row, where that is
+    ``-total``.  So lowering at position p adds to each field ``pack`` of
+    the unit row at p minus ``pack(())``, and ``steps`` holds those
+    differences.
     """
 
     def __init__(self, ops: CrystalOps, levels: int):
         ctx = ops.ctx
-        n, first = ctx.n, ctx.first_pos
         self.ops, self.levels = ops, levels
         self.width = 1
         while 4 * levels >= 256 ** self.width:
             self.width *= 2
         self.code = _LANE_CODES[self.width]
         self.bias = 2 * levels
-        bits = 8 * self.width
-        # tail[j]: one in every lane from j on
-        tail = [0] * (levels + 1)
-        for j in range(levels - 1, -1, -1):
-            tail[j] = tail[j + 1] + (1 << bits * j)
-
-        def step(pos):
-            c = ctx.color_of(pos)
-            fields = [1 << bits * (pos - 1)]
-            for m in ctx.colors():
-                # the color-m lanes at or after pos: their prefix gains a(m, c)
-                j = -(-(pos - first(m)) // n)
-                fields.append(-ctx.cartan[m - 1][c - 1] * tail[j] + (m == c) * (1 << bits * j))
-            fields.append(1 << bits * (c - 1))
-            return tuple(fields)
-
-        self.steps = {k: [step(first(k) + j * n) for j in range(levels)] for k in ctx.colors()}
+        origin = self.pack(())
+        self.steps = {k: [tuple(map(sub, self.pack((0,) * (p - 1) + (1,)), origin))
+                          for p in range(ctx.first_pos(k), levels * ctx.n + 1, ctx.n)]
+                      for k in ctx.colors()}
 
     def pack(self, row: tuple) -> tuple:
         """The state of a dense row at level <= ``levels``."""

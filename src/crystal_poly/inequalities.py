@@ -228,21 +228,20 @@ class ClosureResult:
     there), each with ``width`` coefficient bytes: no kept form reaches past
     ``width``.
 
-    No ``LinearForm`` is built until a caller asks for one: ``forms``
-    decodes every row on first access and keeps the result (iterating the
-    result iterates them), ``within`` decodes only the rows inside a
-    window, and ``values`` and ``restriction`` read the rows undecoded.
-    ``len`` is the row count.
+    Only the rows are kept; a ``LinearForm`` is built when a caller asks
+    for one, and not kept: ``forms`` decodes every row on each call
+    (iterating the result iterates them), ``within`` decodes only the rows
+    inside a window, and ``values`` and ``restriction`` read the rows
+    undecoded.  ``len`` is the row count.
     """
 
-    __slots__ = ("rows", "width", "converged", "pruned", "_forms")
+    __slots__ = ("rows", "width", "converged", "pruned")
 
     def __init__(self, rows, width: int, converged: bool, pruned: int):
         self.rows = rows
         self.width = width
         self.converged = converged
         self.pruned = pruned
-        self._forms = None
 
     def _decode(self, rows) -> frozenset[LinearForm]:
         """The rows' forms: their bytes, unbiased and stripped of trailing
@@ -257,9 +256,7 @@ class ClosureResult:
 
     @property
     def forms(self) -> frozenset[LinearForm]:
-        if self._forms is None:
-            self._forms = self._decode(self.rows)
-        return self._forms
+        return self.within(self.width)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -294,8 +291,6 @@ class ClosureResult:
 
     def within(self, window: int) -> frozenset[LinearForm]:
         """The forms whose last position is at most ``window``."""
-        if self._forms is not None:
-            return frozenset(f for f in self._forms if f.max_pos() <= window)
         if window < 0:
             return frozenset()
         # the coefficient bytes past the window, and their value when all are zero

@@ -173,7 +173,15 @@ def _compile_matrix(family: ClosureResult, support: int):
 
     blob, consts = family.restriction(support)
     coeffs = np.frombuffer(blob, np.int8).reshape(len(consts), support)
-    consts = np.array(consts, dtype=np.int64)
+    # a huge weight's constants may not fit int64, nor negate there; clipping
+    # them to +-2**62 is exact, since the linear part of a row on a candidate
+    # is at most 63 * depth in size and MAX_CANDIDATES keeps the depth below
+    # 150,000.  Only a constant past int64 is clipped in Python.
+    big = 1 << 62
+    try:
+        consts = np.array(consts, dtype=np.int64).clip(-big, big)
+    except OverflowError:
+        consts = np.array([min(max(c, -big), big) for c in consts], dtype=np.int64)
     # a row can go negative only through its constant or a negative coefficient
     keep = (consts < 0) | (coeffs < 0).any(axis=1)
     coeffs, consts = coeffs[keep], consts[keep]

@@ -102,6 +102,14 @@ def test_gen_ineq_stops_on_a_move_that_lowers_the_last_position(tmp_path, capsys
     assert captured.err.startswith("error: eyd move lowers the last position from 3 to 0")
 
 
+def test_gen_ineq_comb_limit_refuses_k(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    rc = main(["--config", cfg, "gen-ineq", "--mode", "comb-limit", "--k", "1", "--window", "5"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == "error: --k does not apply to --mode comb-limit\n"
+
+
 # ----------------------------------------------------------------------------------
 # check
 # ----------------------------------------------------------------------------------
@@ -410,6 +418,22 @@ def test_crosscheck_node_cap_names_its_numbers(tmp_path, capsys, monkeypatch):
     # support depth * n = 6, closure bound 6 + 1 period of 3
     assert captured.err.startswith("error: inequality generation hit the node cap of 5 "
                                    "forms (support 6, closure bound 9)")
+
+
+@pytest.mark.parametrize("family,word", [("A1", (2, 1, 3)), ("C1", (1, 2, 3)),
+                                         ("A2", (2, 1, 3)), ("D2", (1, 2, 3))])
+def test_crosscheck_takes_a_multiplicity_past_int64(tmp_path, capsys, family, word):
+    # constants of 10**20 and 2**40 both exceed any linear part at depth 3,
+    # so both weights decide every candidate alike
+    reports = []
+    for mult in (10 ** 20, 2 ** 40):
+        cfg = write_cfg(tmp_path, family=family, word=word, lam={1: mult})
+        assert main(["--config", cfg, "crosscheck", "--depth", "3"]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    big, small = reports
+    assert big["matched"] and big["lambda"] == {"1": 10 ** 20}
+    for key in ("active_forms", "feasible", "closure", "candidates"):
+        assert big[key] == small[key], key
 
 
 def test_operator_bfs_node_cap_names_its_numbers(tmp_path, capsys, monkeypatch):

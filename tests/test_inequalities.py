@@ -450,7 +450,6 @@ def test_within_on_undecoded_rows_filters_the_decoded_forms(family, word):
                 fresh = ClosureResult(res.rows, res.width, res.converged, res.pruned)
                 want = frozenset(f for f in forms if f.max_pos() <= window)
                 assert fresh.within(window) == want == res.within(window), window
-                assert fresh._forms is None  # decoding a window keeps nothing
 
 
 def test_epsilon_star_forms_closes_once_per_color_at_the_vectors_window(monkeypatch):
@@ -583,15 +582,28 @@ def test_membership_matches_the_form_by_form_reference(family, word):
 
 def test_a_member_query_decodes_no_row(monkeypatch):
     monkeypatch.setattr(inequalities, "_PLAIN_CACHE", {})
+    decoded = []
+    decode = ClosureResult._decode
+
+    def spy(self, rows):
+        rows = list(rows)
+        decoded.append(rows)
+        return decode(self, rows)
+
+    monkeypatch.setattr(ClosureResult, "_decode", spy)
     ctx = make_context("A1")
     plain, _ = membership_family(ctx, None, 6)
     union, _ = membership_family(ctx, W1, 6)
     for res in (plain, union):
         assert membership(res, ZVector({2: 1})) == (True, None)
-        assert res._forms is None
-    ok, witness = membership(union, ZVector({1: 1}))
+    assert decoded == []
+    x = ZVector({1: 1})
+    ok, witness = membership(union, x)
     assert not ok and witness == mk(ctx, {(1, 2): -1}, 0)
-    assert union._forms is None and plain._forms is None  # the witness is not kept
+    # only the violated rows are decoded, once
+    violated = [row for row, value in zip(union.rows, union.values(x)) if value < 0]
+    assert len(decoded) == 1 and sorted(decoded[0]) == sorted(violated)
+    assert 0 < len(violated) < len(union)
 
 
 def test_membership_family_is_the_union_of_parts_one_period_wide():

@@ -41,6 +41,7 @@ from util import (
     reference_closure,
     reference_feasible,
     reference_reaches_origin,
+    reference_steps,
 )
 
 
@@ -155,6 +156,20 @@ def test_signature_lanes_hold_their_bound(levels, width):
     layout = SignatureLanes(ops, levels)
     top = layout.pack((levels,))  # f_2 applied levels times, at position 1
     assert (min(layout.lanes(top[2])), max(layout.lanes(top[1]))) == (0, 4 * levels)
+
+
+@pytest.mark.parametrize("ctx", [make_context(f, w) for f, w in GRID8] + [
+    Context("A1", 2, (2, 1)), Context("A1", 4, (2, 1, 3, 4)),
+    Context("C1", 4, (1, 2, 3, 4)), Context("D2", 5, (1, 2, 3, 4, 5))],
+    ids=lambda ctx: f"{ctx.family}-n{ctx.n}-" + "".join(map(str, ctx.word)))
+def test_signature_lane_steps_equal_the_cartan_rule(ctx):
+    # 12 contexts x 3 weights x 7 levels: 252 layouts, across the change from
+    # one-byte to two-byte lanes (63 -> 64 levels) and the BFS's first layout (16)
+    for lam in (None, {1: 1}, {2: 2}):
+        ops = CrystalOps(ctx, lam)
+        for levels in (0, 1, 5, 16, 63, 64, 70):
+            layout = SignatureLanes(ops, levels)
+            assert layout.steps == reference_steps(ctx, levels, layout.width), (lam, levels)
 
 
 def test_closure_honours_the_node_cap(monkeypatch):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from collections import deque
+from functools import lru_cache, partial
 from itertools import chain
 from operator import attrgetter
 
@@ -232,42 +233,43 @@ def with_undo_moves(children):
 # ----------------------------------------------------------------------------------
 
 
-def _reference_plain_rewrite(ctx: Context, form: LinearForm, pos: int) -> LinearForm:
+def _reference_plain_rewrite(ctx: Context, coupling, form: LinearForm, pos: int) -> LinearForm:
     c = form.coeff(pos)
     if c == 0:
         return form
     s, k = ctx.sk_of(pos)
     if c > 0:
-        return form - coupling_form(ctx, s, k)
+        return form - coupling(s, k)
     if s >= 2:
-        return form + coupling_form(ctx, s - 1, k)
+        return form + coupling(s - 1, k)
     return form
 
 
-def _reference_rewrite(ctx: Context, lam, form: LinearForm, pos: int) -> LinearForm:
+def _reference_rewrite(ctx: Context, coupling, lam, form: LinearForm, pos: int) -> LinearForm:
     c = form.coeff(pos)
     if c == 0:
         return form
     s, k = ctx.sk_of(pos)
     if c > 0:
-        return form - coupling_form(ctx, s, k)
+        return form - coupling(s, k)
     if s >= 2:
-        return form + coupling_form(ctx, s - 1, k)
+        return form + coupling(s - 1, k)
     return form - weight_seed(ctx, lam, k)
 
 
 def reference_close(ctx: Context, lam, seeds, bound: int):
     """Reference closure driver: the plain (``lam is None``) or boundary-aware
     step rebuilt at every position of every form with the public
-    ``LinearForm`` arithmetic, no step table.  Same BFS order, node cap check
-    and pruning count as ``inequalities._close``.  Returns
-    (forms, converged, pruned)."""
+    ``LinearForm`` arithmetic, no step table; only ``coupling_form`` is
+    memoised, by (s, k).  Same BFS order, node cap check and pruning count
+    as ``inequalities._close``.  Returns (forms, converged, pruned)."""
+    coupling = lru_cache(maxsize=None)(partial(coupling_form, ctx))
     if lam is None:
         def step(f, p):
-            return _reference_plain_rewrite(ctx, f, p)
+            return _reference_plain_rewrite(ctx, coupling, f, p)
     else:
         def step(f, p):
-            return _reference_rewrite(ctx, lam, f, p)
+            return _reference_rewrite(ctx, coupling, lam, f, p)
     cap = node_cap()
     seen = set(seeds)
     queue = deque(seen)
@@ -430,6 +432,34 @@ def reference_closure(ops: CrystalOps, depth: int):
     for level in levels:
         level[:] = map(ZVector._make, level)
     return set(chain.from_iterable(levels)), levels
+
+
+# The Cartan-matrix step table crystal.SignatureLanes built before it read
+# its steps off its own packing, kept as a reference for it.
+def reference_steps(ctx: Context, levels: int, width: int) -> dict:
+    """``steps[k][j]``: what lowering at the j-th color-k position adds to
+    each field of a packed state with ``levels`` lanes of ``width`` bytes:
+    one to the entry lane, ``-a(m, c)`` to every color-m lane at or after
+    the position (color c) plus one to the lane at it, one to the color-c
+    total."""
+    n, first = ctx.n, ctx.first_pos
+    bits = 8 * width
+    # tail[j]: one in every lane from j on
+    tail = [0] * (levels + 1)
+    for j in range(levels - 1, -1, -1):
+        tail[j] = tail[j + 1] + (1 << bits * j)
+
+    def step(pos):
+        c = ctx.color_of(pos)
+        fields = [1 << bits * (pos - 1)]
+        for m in ctx.colors():
+            # the color-m lanes at or after pos: their prefix gains a(m, c)
+            j = -(-(pos - first(m)) // n)
+            fields.append(-ctx.cartan[m - 1][c - 1] * tail[j] + (m == c) * (1 << bits * j))
+        fields.append(1 << bits * (c - 1))
+        return tuple(fields)
+
+    return {k: [step(first(k) + j * n) for j in range(levels)] for k in ctx.colors()}
 
 
 # ----------------------------------------------------------------------------------
