@@ -13,7 +13,7 @@ of the realizations are closures of small seed sets under two rewriting steps:
 from __future__ import annotations
 
 from collections import deque
-from itertools import compress
+from itertools import accumulate, chain, compress
 from operator import add, mul, neg
 
 from .cartan import Context, node_cap
@@ -298,17 +298,33 @@ class ClosureResult:
         zero = _zero_row(self.width) & tail
         return self._decode([row for row in self.rows if row & tail == zero])
 
-    def restriction(self, support: int) -> tuple[bytes, list[int]]:
-        """Every row cut to positions ``1..support``, undecoded: one string
-        of ``support`` signed bytes per row, the coefficients there (zero
-        past the width), and the rows' constants, in the same row order."""
-        rows = list(self.rows)
+    def restriction(self, support: int) -> tuple[list[bytes], list[int], list[int]]:
+        """The rows cut to positions ``1..support`` that can go negative on
+        a nonnegative vector, read in one pass without building a form.
+
+        A row is kept when its constant is negative or a coefficient inside
+        the cut is (a negative coefficient's byte has its top bit clear);
+        rows that agree inside the cut are merged into the smallest
+        constant.  Returns ``(coeffs, consts, starts)``: one string of
+        ``support`` signed bytes per kept row (zero past the width), their
+        constants, and the groups by last active column: the rows whose
+        last active position is j (0 for a constant row) are
+        ``starts[j]:starts[j + 1]``, in no particular order within a group.
+        """
         cut = min(support, self.width)
-        low = (1 << 8 * cut) - 1
-        pad = _zero_row(support) ^ _zero_row(cut)  # zero coefficients past the width
-        blob = b"".join([((row & low) | pad).to_bytes(support, "little") for row in rows])
-        shift = 8 * self.width
-        return blob.translate(_SIGNED), [row >> shift for row in rows]
+        low, signs, shift = (1 << 8 * cut) - 1, _zero_row(cut), 8 * self.width
+        best = {}  # the coefficient bytes ^ signs are the signed coefficients
+        for row in self.rows:
+            if row < 0 or row & signs != signs:
+                key, const = row & low ^ signs, row >> shift
+                if const < best.get(key, const + 1):
+                    best[key] = const
+        groups = [[] for _ in range(support + 1)]
+        for key in best:
+            groups[(key.bit_length() + 7) >> 3].append(key)
+        keys = [*chain.from_iterable(groups)]
+        return ([key.to_bytes(support, "little") for key in keys],
+                [*map(best.__getitem__, keys)], [*accumulate(map(len, groups), initial=0)])
 
 
 def _span_error(coeff: int, pos: int) -> RuntimeError:

@@ -11,14 +11,11 @@ from __future__ import annotations
 import time
 from itertools import chain
 from math import comb
-from typing import TYPE_CHECKING
+from struct import pack
 
 from .cartan import Context, node_cap
 from .crystal import CrystalOps, SignatureLanes, ZVector
 from .inequalities import ClosureResult, membership_family, node_cap_error
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Most candidates the cross-check may scan: the size of its box, which the sweep
 # holds only when no prefix is cut.
@@ -156,78 +153,78 @@ def random_reachable(ops: CrystalOps, rng, depth: int) -> ZVector:
 
 
 def _compile_matrix(family: ClosureResult, support: int):
-    """Dense coefficient matrix of the restrictions to the support box of the
-    family's forms, read from its packed rows (``ClosureResult.restriction``)
-    without building a form.
-
-    Rows that cannot go negative on nonnegative vectors are dropped, duplicate
-    restrictions are merged into the strongest one (the smallest constant), and
-    rows are ordered by their last active column, then lexicographically, so
-    that short local forms (the strongest rejectors) are applied first.
-
-    Returns ``(coeffs, consts, starts)``: the rows whose value is decided by
-    the first j columns, and by no fewer (j = 0 for a constant row), are
-    ``starts[j]:starts[j + 1]``.
-    """
-    import numpy as np  # here, not at module level: only a cross-check pays for it
-
-    blob, consts = family.restriction(support)
-    coeffs = np.frombuffer(blob, np.int8).reshape(len(consts), support)
-    # a huge weight's constants may not fit int64, nor negate there; clipping
-    # them to +-2**62 is exact, since the linear part of a row on a candidate
-    # is at most 63 * depth in size and MAX_CANDIDATES keeps the depth below
-    # 150,000.  Only a constant past int64 is clipped in Python.
-    big = 1 << 62
-    try:
-        consts = np.array(consts, dtype=np.int64).clip(-big, big)
-    except OverflowError:
-        consts = np.array([min(max(c, -big), big) for c in consts], dtype=np.int64)
-    # a row can go negative only through its constant or a negative coefficient
-    keep = (consts < 0) | (coeffs < 0).any(axis=1)
-    coeffs, consts = coeffs[keep], consts[keep]
-    # columns read: one past the last active column, 0 when none is active
-    width = ((coeffs != 0) * np.arange(1, support + 1)).max(axis=1, initial=0)
-    # lexsort's primary key is its last row: the columns read, then the
-    # columns from the first on
-    order = np.lexsort(np.vstack((coeffs[:, ::-1].T, width)))
-    coeffs, consts, width = coeffs[order], consts[order], width[order]
-    first = np.ones(len(coeffs), dtype=bool)
-    first[1:] = (coeffs[1:] != coeffs[:-1]).any(axis=1)
-    uniq = np.flatnonzero(first)
-    starts = np.searchsorted(width[uniq], np.arange(support + 2))
-    return coeffs[uniq].astype(np.int64), np.minimum.reduceat(consts, uniq), starts
+    """The restrictions to the support box of the family's forms that can go
+    negative, as ``(coeffs, consts, starts)``: read from its packed rows in
+    one pass, without a sort or a form (``ClosureResult.restriction``)."""
+    return family.restriction(support)
 
 
-def _candidate_matrix(support: int, total: int, *, matrix) -> np.ndarray:
+def _candidate_matrix(support: int, total: int, *, matrix) -> list[tuple[int, ...]]:
     """Every nonnegative integer vector of length ``support`` with entry sum
     at most ``total`` that satisfies every row of ``matrix`` (as returned by
-    ``_compile_matrix``), one per row, in lexicographic order.
+    ``_compile_matrix``), in lexicographic order.
 
-    Candidates grow one column at a time.  Right after its last active column
-    is filled a row is tested on the partial candidates and cuts those it
-    rejects: the columns still to come do not change its value, so no
-    completion of a cut prefix is feasible.  Memory follows the prefixes that
-    survive, not the whole box.  ``matrix`` is keyword-only because
-    ``perfbench/spans.py`` keys each call by its positional arguments.
+    Candidates grow one column at a time, with no recursion, and a row cuts
+    the prefixes it rejects right after its last active column is filled; a
+    prefix with no entry sum left meets every row at once and is finished
+    with zeros.  Memory follows the prefixes that survive, not the whole box.
+    A prefix carries one int with a ``lane``-byte lane per row: the row's
+    value plus half a lane, nonnegative exactly when the lane's top bit is
+    set, so one mask tests a group of rows and a column is one int to add.
+    With |coefficients| <= ``most``, entry sums <= ``total`` and constants
+    clamped to ``[-bound - 1, bound]`` (no sign moves), no lane carries into
+    the next.  ``matrix`` is keyword-only: ``perfbench/spans.py`` keys each
+    call by its positional arguments.
     """
-    import numpy as np  # here, not at module level: only a cross-check pays for it
-
     coeffs, consts, starts = matrix
-    rows = np.zeros((1, 0), dtype=np.int64)
-    room = np.array([total], dtype=np.int64)
-    for j in range(support + 1):
-        lo, hi = starts[j], starts[j + 1]
-        if lo < hi:
-            ok = (rows @ coeffs[lo:hi, :j].T >= -consts[lo:hi]).all(axis=1)
-            rows, room = rows[ok], room[ok]
-        if j == support:
-            return rows
-        # each row splits into one child per value 0..room of the next entry
-        counts = room + 1
-        parent = np.repeat(np.arange(len(room)), counts)
-        value = np.arange(len(parent)) - (np.cumsum(counts) - counts)[parent]
-        rows = np.column_stack((rows[parent], value))
-        room = room[parent] - value
+    blob, n = b"".join(coeffs), len(consts)
+    # signed bytes have |c| <= 128, but one-byte lanes serve when no |c|
+    # passes 63 // total
+    most = 63 // max(total, 1)
+    if blob.translate(None, bytes([*range(most + 1), *range(256 - most, 256)])):
+        most = 128
+    bound = most * total
+    lane, code = next((w, c) for w, c in zip((1, 2, 4, 8), "bhiq")
+                      if 2 * bound < 1 << 8 * w - 1)
+    if consts and (min(consts) < -bound - 1 or max(consts) > bound):
+        consts = [min(max(c, -bound - 1), bound) for c in consts]
+    ones = int.from_bytes(b"\1".ljust(lane, b"\0") * n, "little")
+    top = (1 << 8 * lane - 1) * ones
+    acc = int.from_bytes(pack(f"<{n}{code}", *consts), "little") ^ top
+    # below[j]: the top bits of the lanes of the rows before group j
+    below = [top & (1 << 8 * lane * s) - 1 for s in starts]
+    if acc & below[1] != below[1]:
+        return []
+    level, out = [(acc, total, ())], []
+    for j in range(support):
+        s = starts[j + 1]  # the rows before s are zero from column j on
+        buf = bytearray(lane * n)
+        buf[lane * s::lane] = blob[s * support + j::support]
+        col = int.from_bytes(buf, "little")
+        col -= (col & 0x80 * ones) << 1  # each lane's byte read as signed
+        mask, rest = below[j + 2] ^ below[j + 1], top ^ below[j + 2]
+        nxt, zeros = [], (0,) * (support - j - 1)
+        for acc, room, pre in level:
+            for v in range(room):
+                if acc & mask == mask:
+                    nxt.append((acc, room - v, pre + (v,)))
+                acc += col
+            if acc & mask == mask and acc & rest == rest:
+                out.append(pre + (room,) + zeros)
+        level = nxt
+    out += [pre for _, _, pre in level]
+    out.sort()
+    return out
+
+
+def _candidates(support: int, depth: int) -> int:
+    """The size of the candidate box; ``RuntimeError`` past ``MAX_CANDIDATES``."""
+    candidates = comb(support + depth, depth)
+    if candidates > MAX_CANDIDATES:
+        raise RuntimeError(
+            f"crosscheck needs {candidates} candidates (support {support}, "
+            f"depth {depth}), over the limit of {MAX_CANDIDATES}")
+    return candidates
 
 
 def _feasible_tuples(ctx: Context, lam, depth: int, support: int):
@@ -235,8 +232,7 @@ def _feasible_tuples(ctx: Context, lam, depth: int, support: int):
     if not converged:
         raise node_cap_error(ctx, support, 1)
     matrix = _compile_matrix(family, support)
-    rows = _candidate_matrix(support, depth, matrix=matrix)
-    return set(map(tuple, rows.tolist())), len(matrix[0])
+    return set(_candidate_matrix(support, depth, matrix=matrix)), len(matrix[0])
 
 
 def crosscheck_membership(
@@ -247,20 +243,18 @@ def crosscheck_membership(
     Scans every nonnegative vector with entry sum at most ``depth`` supported
     on the first ``window`` positions (default: depth word-lengths, grown if a
     closure element needs more room) in one pass against the membership family
-    one word period past the window.  The report keeps ``margin_periods`` (1)
-    and ``window_sensitive`` (false) as constant fields.
+    one word period past the window.  A box of more than ``MAX_CANDIDATES``
+    is refused at the window before the operator closure is generated, and
+    at the grown window before any inequality is.  The report keeps
+    ``margin_periods`` (1) and ``window_sensitive`` (false) as constant fields.
     """
     t0 = time.perf_counter()
-    ops = CrystalOps(ctx, lam)
-    closure, _ = generate_closure(ops, depth)
     support = window if window is not None else depth * ctx.n
+    _candidates(max(support, 0), depth)
+    closure, _ = generate_closure(CrystalOps(ctx, lam), depth)
     support = max(support, max((x.max_pos() for x in closure), default=1))
     closure_set = {x.to_tuple(support) for x in closure}
-    candidates = comb(support + depth, depth)
-    if candidates > MAX_CANDIDATES:
-        raise RuntimeError(
-            f"crosscheck needs {candidates} candidates (support {support}, "
-            f"depth {depth}), over the limit of {MAX_CANDIDATES}")
+    candidates = _candidates(support, depth)
 
     feasible, active_forms = _feasible_tuples(ctx, lam, depth, support)
     mismatches = [

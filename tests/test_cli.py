@@ -1,10 +1,12 @@
 """End-to-end command-line behavior (in-process, plus one subprocess run)."""
 
+import ast
 import hashlib
 import json
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -385,7 +387,7 @@ def test_crosscheck_makes_one_feasibility_pass_even_on_a_mismatch(tmp_path, caps
 
     def no_rows(family, support):
         coeffs, consts, starts = compile_matrix(family, support)
-        return coeffs[:0], consts[:0], starts * 0
+        return coeffs[:0], consts[:0], [0] * len(starts)
 
     def counted(*args):
         calls.append(args)
@@ -589,14 +591,36 @@ print("numpy" in sys.modules, rc, file=sys.stderr)
 
 @pytest.mark.parametrize("argv", [
     ["gen-ineq", "--mode", "sprime", "--window", "4"],
+    ["gen-ineq", "--mode", "shat", "--window", "4"],
     ["gen-ineq", "--mode", "comb", "--k", "1", "--window", "6"],
+    ["gen-ineq", "--mode", "comb-limit", "--window", "6"],
     ["check", "--vector", "[0, 1]"],
-], ids=["gen-ineq-sprime", "gen-ineq-comb", "check"])
-def test_cli_commands_without_crosscheck_do_not_import_numpy(tmp_path, argv):
+    ["enumerate", "--depth", "3"],
+    ["epsilon-star", "--vector", "[1, 1]"],
+    ["crosscheck", "--depth", "3"],
+], ids=["gen-ineq-sprime", "gen-ineq-shat", "gen-ineq-comb", "gen-ineq-comb-limit", "check",
+        "enumerate", "epsilon-star", "crosscheck"])
+def test_no_cli_command_imports_numpy(tmp_path, argv):
     cfg = write_cfg(tmp_path, lam={1: 1})
     proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, "--config", cfg, *argv],
                           capture_output=True, text=True, timeout=120)
     assert proc.stderr.splitlines()[-1] == "False 0"
+
+
+def test_no_package_module_imports_numpy():
+    # any import statement, at module level or inside a function
+    package = Path(oracle.__file__).parent
+    modules = sorted(package.rglob("*.py"))
+    assert len(modules) > 5
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "numpy" for name in names), path.name
 
 
 # ----------------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Linear forms, rewriting steps, closures, and membership checks."""
 
 import random
-from collections import Counter
 
 import pytest
 
@@ -424,20 +423,39 @@ def test_restriction_is_the_decoded_forms_cut_to_the_support(family, word):
                 assert converged
                 assert frozenset().union(*(r.forms for r in parts)) == family_res.forms
                 for res in parts + [family_res]:
-                    blob, consts = res.restriction(support)
-                    assert len(blob) == support * len(consts) == support * len(res.rows)
-                    got = Counter(zip((tuple(memoryview(blob[i:i + support]).cast("b"))
-                                       for i in range(0, len(blob), support)), consts))
-                    want = Counter((tuple(f.coeff(p) for p in range(1, support + 1)), f.constant)
-                                   for f in res.forms)
-                    assert got == want, (lam, support, margin)
+                    assert _restriction_groups(res, support) == _negative_rows(res, support), (
+                        lam, support, margin)
+
+
+def _negative_rows(res, support: int) -> list[dict]:
+    """From the decoded forms: the restrictions to the support that can go
+    negative, each with its smallest constant, grouped by last active column."""
+    groups = [{} for _ in range(support + 1)]
+    for f in res.forms:
+        vec = tuple(f.coeff(p) for p in range(1, support + 1))
+        if f.constant < 0 or min(vec, default=0) < 0:
+            group = groups[max((p for p, c in enumerate(vec, 1) if c), default=0)]
+            group[vec] = min(f.constant, group.get(vec, f.constant))
+    return groups
+
+
+def _restriction_groups(res, support: int) -> list[dict]:
+    """``res.restriction(support)`` read back group by group."""
+    coeffs, consts, starts = res.restriction(support)
+    assert len(coeffs) == len(consts) == starts[-1] and len(starts) == support + 2
+    assert all(len(c) == support for c in coeffs)
+    groups = [dict(zip((tuple(memoryview(c).cast("b")) for c in coeffs[lo:hi]), consts[lo:hi]))
+              for lo, hi in zip(starts, starts[1:])]
+    assert sum(map(len, groups)) == len(coeffs)  # no restriction twice
+    return groups
 
 
 def test_restriction_pads_past_the_width():
     res = _close([LinearForm(-2, {1: 3, 2: -1})], lambda pos, positive: None, 2)
-    blob, consts = res.restriction(4)
-    assert res.width == 2 and list(memoryview(blob).cast("b")) == [3, -1, 0, 0]
-    assert consts == [-2]
+    coeffs, consts, starts = res.restriction(4)
+    assert res.width == 2 and [list(memoryview(c).cast("b")) for c in coeffs] == [[3, -1, 0, 0]]
+    assert consts == [-2] and starts == [0, 0, 0, 1, 1, 1]
+    assert _restriction_groups(res, 4) == _negative_rows(res, 4)
 
 
 @pytest.mark.parametrize("family,word", GRID8)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 import time
 from collections import Counter
 from math import comb
@@ -34,6 +35,7 @@ from crystal_poly.oracle import (
 from util import (
     DEFAULT_WORDS,
     GRID8,
+    canonical_rows,
     compile_forms,
     make_context,
     reference_candidate_matrix,
@@ -42,6 +44,7 @@ from util import (
     reference_feasible,
     reference_reaches_origin,
     reference_steps,
+    signed_rows,
 )
 
 
@@ -339,12 +342,14 @@ def test_sum_bounded_tuples_count():
     for support in range(7):
         for total in range(4):
             want = reference_candidate_matrix(support, total)
+            assert want.shape == (comb(support + total, total), support)
             rows = _candidate_matrix(support, total, matrix=compile_forms([], support))
-            for got in (want, rows):
-                assert got.shape == (comb(support + total, total), support)
-                assert len({tuple(r) for r in got.tolist()}) == len(got)
-                assert (got >= 0).all() and (got.sum(axis=1) <= total).all()
-            assert rows.tolist() == want.tolist()
+            for got in (want.tolist(), rows):
+                assert len(got) == comb(support + total, total)
+                assert all(len(r) == support for r in got)
+                assert len({tuple(r) for r in got}) == len(got)
+                assert all(min(r, default=0) >= 0 and sum(r) <= total for r in got)
+            assert rows == [*map(tuple, want.tolist())]
     assert len(reference_candidate_matrix(4, 2)) == 15
     assert len(_candidate_matrix(6, 2, matrix=compile_forms([], 6))) == 28
 
@@ -355,15 +360,15 @@ def _sweep_both(forms, support, total):
     matrix = compile_forms(forms, support)
     rows = _candidate_matrix(support, total, matrix=matrix)
     coeffs, consts, _ = matrix
-    assert rows.tolist() == sorted(rows.tolist())
-    return set(map(tuple, rows.tolist())), reference_feasible(coeffs, consts, support, total)
+    assert rows == sorted(rows)
+    return set(rows), reference_feasible(coeffs, consts, support, total)
 
 
 def test_pruned_sweep_cuts_on_a_constant_row():
     # restricted to the support the row is the constant -1: nothing is feasible
     for support in range(4):
         coeffs, consts, starts = compile_forms([LinearForm(-1, {5: 1})], support)
-        assert coeffs.shape == (1, support) and starts[:2].tolist() == [0, 1]
+        assert coeffs == [bytes(support)] and starts[:2] == [0, 1]
         got, want = _sweep_both([LinearForm(-1, {5: 1}), LinearForm(2, {1: -1})], support, 3)
         assert got == want == set()
     # a nonnegative constant row is dropped and cuts nothing
@@ -375,7 +380,7 @@ def test_pruned_sweep_applies_a_last_column_row_at_the_end():
     # x3 <= 1 reads every column of a width-3 box
     form = LinearForm(1, {3: -1})
     coeffs, consts, starts = compile_forms([form], 3)
-    assert starts.tolist() == [0, 0, 0, 0, 1]
+    assert starts == [0, 0, 0, 0, 1]
     got, want = _sweep_both([form], 3, 3)
     assert got == want
     assert got == {v for v in itertools.product(range(4), repeat=3)
@@ -386,9 +391,9 @@ def test_pruned_sweep_merges_duplicate_rows():
     # both restrict to x2 - x1 on the support; the smaller constant wins
     forms = [LinearForm(2, {1: -1, 2: 1}), LinearForm(1, {1: -1, 2: 1, 7: 3}),
              LinearForm(0, {2: -1, 3: 1})]
-    coeffs, consts, starts = compile_forms(forms, 3)
-    assert coeffs.tolist() == [[-1, 1, 0], [0, -1, 1]] and consts.tolist() == [1, 0]
-    assert starts.tolist() == [0, 0, 0, 1, 2]
+    matrix = compile_forms(forms, 3)
+    assert signed_rows(matrix) == [((-1, 1, 0), 1), ((0, -1, 1), 0)]
+    assert matrix[2] == [0, 0, 0, 1, 2]
     got, want = _sweep_both(forms, 3, 4)
     assert got == want
     assert got == {v for v in itertools.product(range(5), repeat=3)
@@ -402,8 +407,7 @@ def test_pruned_sweep_equals_the_block_sweep(monkeypatch):
     def checked(support, total, *, matrix):
         rows = sweep(support, total, matrix=matrix)
         coeffs, consts, _ = matrix
-        assert set(map(tuple, rows.tolist())) == reference_feasible(coeffs, consts,
-                                                                    support, total)
+        assert set(rows) == reference_feasible(coeffs, consts, support, total)
         supports.append(support)
         return rows
 
@@ -423,14 +427,104 @@ def test_pruned_sweep_equals_the_block_sweep(monkeypatch):
     assert supports[-2:] == [small["support_positions"], 14]
 
 
+def _lane_codes(monkeypatch) -> list[str]:
+    """The struct codes of the lanes the sweep packs its constants into, one
+    per call: b, h, i, q for 1, 2, 4, 8 bytes."""
+    codes = []
+    pack = oracle.pack
+
+    def spy(fmt, *values):
+        codes.append(fmt[-1])
+        return pack(fmt, *values)
+
+    monkeypatch.setattr(oracle, "pack", spy)
+    return codes
+
+
+def _random_forms(rng, support: int, count: int, most: int, consts) -> list[LinearForm]:
+    """``count`` forms with up to three terms, coefficients in ``+-most``."""
+    return [LinearForm(rng.choice(consts),
+                       {p: rng.randint(-most, most) for p in rng.sample(range(1, support + 1),
+                                                                         min(support, 3))})
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("support, total, most, code", [
+    (4, 3, 21, "b"),     # |c| <= 63 // total: the linear parts fit one byte
+    (4, 6, 126, "h"),    # |c| past 63 // total: 128 * total
+    (5, 2, 126, "h"),
+    (2, 200, 126, "i"),  # 2 * 128 * total past a signed short
+], ids=["lane1", "lane2", "lane2-short-box", "lane4"])
+def test_sweep_lanes_agree_with_the_referee(monkeypatch, support, total, most, code):
+    codes = _lane_codes(monkeypatch)
+    rng = random.Random(support * 1000 + total)
+    bound = (most if code == "b" else 128) * total  # the sweep's clamp
+    # rows the origin meets and other vectors may not; the last one's values
+    # span -most * total .. most * total
+    live = _random_forms(rng, support, 6, most, range(most * total + 1))
+    live.append(LinearForm(0, {1: most, support: -most}))
+    feasible, want = _sweep_both(live, support, total)
+    assert feasible == want and 0 < len(feasible) < comb(support + total, total)
+    # constants on both sides of the clamp to [-bound - 1, bound], and far past
+    # it: the row with a negative constant cuts every vector here, the other none
+    sizes = []
+    for const in (-10**20, -bound - 3, -bound - 1, -bound, -bound + 1,
+                  bound - 1, bound, bound + 1, bound + 3, 10**20):
+        edge = LinearForm(const, {1: most if const < 0 else -most})
+        got, want = _sweep_both(live + [edge], support, total)
+        assert got == want, const
+        sizes.append(len(got))
+    assert sizes == [0] * 5 + [len(feasible)] * 5
+    assert set(codes) == {code}
+
+
+def test_sweep_with_eight_byte_lanes(monkeypatch):
+    codes = _lane_codes(monkeypatch)
+    total = 1 << 23  # 2 * 128 * total is past a signed int
+    bound = 128 * total
+    capped = LinearForm(400, {1: -126})  # x1 <= 3
+    for extra, feasible in ((LinearForm(bound + 5, {1: -126}), 4),   # never cuts
+                            (LinearForm(-bound - 5, {1: 126}), 0),   # cuts everything
+                            (LinearForm(-126 * 2, {1: 126}), 2)):    # x1 >= 2
+        matrix = compile_forms([capped, extra, LinearForm(10**20, {1: -1})], 1)
+        got = _candidate_matrix(1, total, matrix=matrix)
+        # every vector past x1 = 3 breaks the first row, so the box of entry
+        # sum 8 holds every feasible vector
+        assert got == sorted(reference_feasible(matrix[0], matrix[1], 1, 8))
+        assert len(got) == feasible
+    assert codes == ["q"] * 3
+
+
+def test_sweep_at_support_zero_and_depth_zero():
+    for consts, feasible in (([0, 5], True), ([-1], False), ([0, -10**20], False)):
+        forms = [LinearForm(c) for c in consts]
+        for support, total in ((0, 0), (0, 7), (3, 0)):
+            matrix = compile_forms(forms, support)
+            got = _candidate_matrix(support, total, matrix=matrix)
+            assert got == ([(0,) * support] if feasible else [])
+            assert set(got) == reference_feasible(matrix[0], matrix[1], support, total)
+    # rows read past a zero-width box are constants there
+    got, want = _sweep_both([LinearForm(1, {1: -1}), LinearForm(0, {2: -5})], 0, 3)
+    assert got == want == {()}
+    got, want = _sweep_both([LinearForm(1, {1: -1}), LinearForm(-1, {2: 1})], 2, 0)
+    assert got == want == set()
+
+
+def test_sweep_past_the_recursion_limit():
+    support = sys.getrecursionlimit() + 7
+    rng = random.Random(5)
+    forms = _random_forms(rng, support, 40, 5, [0, 1, 2, 5])
+    forms.append(LinearForm(0, {support: 1, support - 1: -1}))  # x[-1] >= x[-2]
+    got, want = _sweep_both(forms, support, 1)
+    assert got == want and 0 < len(got) < support + 1
+
+
 def test_compile_matrix_keeps_the_strongest_constant_per_row():
     # both restrict to -x1 on the support; the larger constant is the weaker row
     weak = LinearForm(3, {1: -1, 5: 2})
     strong = LinearForm(1, {1: -1})
     for forms in ([weak, strong], [strong, weak]):
-        coeffs, consts, _ = compile_forms(forms, 3)
-        assert coeffs.tolist() == [[-1, 0, 0]]
-        assert consts.tolist() == [1]
+        assert signed_rows(compile_forms(forms, 3)) == [((-1, 0, 0), 1)]
 
 
 @pytest.mark.parametrize("family", sorted(DEFAULT_WORDS))
@@ -443,16 +537,16 @@ def test_compile_matrix_equals_the_row_by_row_reference(family):
             assert converged
             forms = family.forms
             got = _compile_matrix(family, support)
-            want = reference_compile_matrix(forms, support)
-            assert len(want[0]) > 0
-            for a, b, c in zip(got, want, compile_forms(forms, support)):
-                assert a.dtype == b.dtype == c.dtype and a.shape == b.shape == c.shape
-                assert (a == b).all() and (a == c).all(), (lam, margin)
-            # rows starts[j]:starts[j + 1] read exactly the first j columns
-            coeffs, starts = got[0], got[2]
-            reads = [max((i + 1 for i, c in enumerate(r) if c), default=0)
-                     for r in coeffs.tolist()]
-            assert starts.tolist() == [sum(r < j for r in reads) for j in range(support + 2)]
+            coeffs, consts = reference_compile_matrix(forms, support)
+            want = [*zip(map(tuple, coeffs.tolist()), consts.tolist())]
+            assert len(want) > 0
+            for matrix in (got, compile_forms(forms, support)):
+                assert canonical_rows(matrix) == want, (lam, margin)
+                # rows starts[j]:starts[j + 1] read exactly the first j columns
+                starts = matrix[2]
+                reads = [max((i + 1 for i, c in enumerate(r) if c), default=0)
+                         for r, _ in signed_rows(matrix)]
+                assert starts == [sum(r < j for r in reads) for j in range(support + 2)]
 
 
 def test_crosscheck_membership_fundamental():
@@ -482,15 +576,36 @@ def test_crosscheck_membership_limit():
 
 def test_crosscheck_refuses_too_many_candidates_before_generating(monkeypatch):
     def unreachable(*_args, **_kwargs):
-        raise AssertionError("membership_family called over the candidate limit")
+        raise AssertionError("a closure was generated over the candidate limit")
 
+    # neither the inequalities nor the operator closure are generated
     monkeypatch.setattr(oracle, "membership_family", unreachable)
+    monkeypatch.setattr(oracle, "generate_closure", unreachable)
     ctx = make_context("A1")
     with pytest.raises(RuntimeError) as err:
         crosscheck_membership(ctx, None, 7)
     msg = str(err.value)
     assert "1184040 candidates" in msg and "support 21" in msg and "depth 7" in msg
     assert str(MAX_CANDIDATES) in msg
+    # a forced window is the floor the box is counted at
+    with pytest.raises(RuntimeError, match="support 2000, depth 2"):
+        crosscheck_membership(ctx, {1: 1}, 2, window=2000)
+    with pytest.raises(RuntimeError, match="5804731963800 candidates"):
+        crosscheck_membership(make_context("A1", (2, 1, 3)), {1: 1}, 14)
+
+
+def test_crosscheck_refuses_a_box_grown_past_the_limit(monkeypatch):
+    # the window is small enough, the closure's reach is not: refused before
+    # any inequality is generated
+    def unreachable(*_args, **_kwargs):
+        raise AssertionError("membership_family called over the candidate limit")
+
+    monkeypatch.setattr(oracle, "membership_family", unreachable)
+    ctx = make_context("A1")
+    with pytest.raises(RuntimeError) as err:
+        crosscheck_membership(ctx, None, 7, window=1)
+    assert str(err.value) == ("crosscheck needs 170544 candidates (support 15, depth 7), "
+                              f"over the limit of {MAX_CANDIDATES}")
 
 
 def test_crosscheck_builds_no_form(monkeypatch):

@@ -368,13 +368,33 @@ def reference_membership(forms, x: ZVector) -> tuple[bool, LinearForm | None]:
     return False, min(violated, key=LinearForm.sort_key)
 
 
+def signed_rows(matrix) -> list[tuple[tuple[int, ...], int]]:
+    """The rows of a compiled matrix (``oracle._compile_matrix``) as
+    (coefficient tuple, constant) pairs, in its row order."""
+    coeffs, consts, _ = matrix
+    return [(tuple(memoryview(c).cast("b")), k) for c, k in zip(coeffs, consts)]
+
+
+def canonical_rows(matrix) -> list[tuple[tuple[int, ...], int]]:
+    """``signed_rows`` sorted within each group of ``starts``: the order the
+    numpy compiles gave, by last active column, then lexicographically."""
+    rows, starts = signed_rows(matrix), matrix[2]
+    return [row for lo, hi in zip(starts, starts[1:]) for row in sorted(rows[lo:hi])]
+
+
 def compile_forms(forms, support: int):
     """``oracle._compile_matrix`` on one closure holding exactly ``forms``,
-    checked against the construction from forms that it replaced."""
+    checked against the construction from forms that it replaced: the same
+    groups, each with the same rows and constants in some order.  That
+    construction holds constants in int64; past it, nothing is compared."""
     forms = list(forms)
     got = _compile_matrix(packed_closure(forms), support)
-    for a, b in zip(got, fromiter_compile_matrix(forms, support)):
-        assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all()
+    if any(not -2**63 <= f.constant < 2**63 for f in forms):
+        return got  # the reference holds constants in int64
+    coeffs, consts, starts = fromiter_compile_matrix(forms, support)
+    assert list(got[2]) == starts.tolist()
+    assert all(len(c) == support for c in got[0]) and len(got[0]) == len(got[1])
+    assert canonical_rows(got) == [*zip(map(tuple, coeffs.tolist()), consts.tolist())]
     return got
 
 
@@ -396,7 +416,14 @@ def reference_candidate_matrix(support: int, total: int) -> np.ndarray:
 
 
 def reference_feasible(coeffs, consts, support: int, depth: int) -> set:
-    """The candidates of entry sum at most ``depth`` that satisfy every row."""
+    """The candidates of entry sum at most ``depth`` that satisfy every row;
+    ``coeffs`` holds one string of ``support`` signed bytes per row, as
+    ``oracle._compile_matrix`` gives them.  Constants are clipped to
+    +-2**62 to fit int64, which decides every candidate alike while the
+    linear parts stay far below it."""
+    coeffs = np.frombuffer(b"".join(coeffs), np.int8).reshape(len(consts), support)
+    coeffs = coeffs.astype(np.int64)
+    consts = np.array([min(max(c, -2**62), 2**62) for c in consts], dtype=np.int64)
     cands = reference_candidate_matrix(support, depth)
     alive = np.arange(len(cands))
     for start in range(0, len(coeffs), 2048):
