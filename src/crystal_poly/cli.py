@@ -118,7 +118,7 @@ def _verdict(ctx: Context, lam, x: ZVector, margin: int):
     support = max(x.max_pos(), ctx.n)
     family, converged = membership_family(ctx, lam, support, margin)
     if not converged:
-        raise node_cap_error(ctx, support, margin)
+        raise node_cap_error(support, family)
     ok, form = membership(family, x)
     return family, support, None if ok else f"{form.render(ctx)} evaluates to {form.evaluate(x)}"
 

@@ -418,15 +418,11 @@ def _bound(ctx: Context, window: int, margin_periods: int = 2) -> int:
     return max(window + margin_periods * ctx.period, ctx.period)
 
 
-def _variables(bound: int) -> list[LinearForm]:
-    return [variable(p) for p in range(1, bound + 1)]
-
-
 _PLAIN_CACHE: dict[tuple, ClosureResult] = {}
 
 
 def _plain_closure(ctx: Context, bound: int) -> ClosureResult:
-    """Plain-step closure of the variables out to ``bound``.
+    """Plain-step closure of the variables out to ``bound``: every family's limit part.
 
     It does not depend on the weight, so one is built per (ctx, bound, node
     cap) and shared by every caller.  Only converged results are stored; the
@@ -436,7 +432,7 @@ def _plain_closure(ctx: Context, bound: int) -> ClosureResult:
     key = (ctx.family, ctx.n, ctx.word, bound, node_cap())
     res = _PLAIN_CACHE.get(key)
     if res is None:
-        res = _close(_variables(bound), _delta(ctx, None), bound)
+        res = _close([variable(p) for p in range(1, bound + 1)], _delta(ctx, None), bound)
         if res.converged:
             _PLAIN_CACHE[key] = res
     return res
@@ -448,10 +444,8 @@ def limit_inequalities(ctx: Context, window: int) -> ClosureResult:
 
 
 def weight_inequalities(ctx: Context, lam, window: int) -> ClosureResult:
-    """Closure of the variables plus all boundary seeds (highest-weight case)."""
-    bound = _bound(ctx, window)
-    seeds = _variables(bound) + [weight_seed(ctx, lam, k) for k in ctx.colors()]
-    return _close(seeds, _delta(ctx, lam), bound)
+    """The highest-weight family: ``membership_family`` at support ``window``, margin 2."""
+    return membership_family(ctx, lam, window, 2)[0]
 
 
 def boundary_closure_for_color(ctx: Context, lam, k: int, window: int) -> ClosureResult:
@@ -478,22 +472,25 @@ def membership_family(ctx: Context, lam, support: int,
     positions beyond ``support`` evaluate to zero on such vectors, so only
     each form's restriction to the support matters; generating out to a
     margin and keeping every form can only sharpen the test, never wrongly
-    reject a member.
+    reject a member.  The parts stop at the first one to hit the node cap.
     """
     bound = _bound(ctx, support, margin_periods)
     res = _plain_closure(ctx, bound)
-    if lam is not None:
-        parts = [res] + [_close([weight_seed(ctx, lam, k)], _delta(ctx, lam), bound)
-                         for k in ctx.colors()]
+    if lam is not None and res.converged:
+        parts = [res]
+        for k in ctx.colors():
+            parts.append(_close([weight_seed(ctx, lam, k)], _delta(ctx, lam), bound))
+            if not parts[-1].converged:
+                break
         res = ClosureResult(set().union(*(r.rows for r in parts)), bound,
-                            all(r.converged for r in parts), sum(r.pruned for r in parts))
+                            parts[-1].converged, sum(r.pruned for r in parts))
     return res, res.converged
 
 
-def node_cap_error(ctx: Context, support: int, margin_periods: int) -> RuntimeError:
-    """The error for a ``membership_family`` call that hit the node cap."""
+def node_cap_error(support: int, family: ClosureResult) -> RuntimeError:
+    """The error for an unconverged ``membership_family``, whose width is its bound."""
     return RuntimeError(f"inequality generation hit the node cap of {node_cap()} forms (support "
-                        f"{support}, closure bound {_bound(ctx, support, margin_periods)})")
+                        f"{support}, closure bound {family.width})")
 
 
 def epsilon_star_forms(ctx: Context, x, k: int, window: int | None = None) -> int:

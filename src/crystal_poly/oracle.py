@@ -15,7 +15,7 @@ from struct import pack
 
 from .cartan import Context, node_cap
 from .crystal import CrystalOps, SignatureLanes, ZVector
-from .inequalities import ClosureResult, membership_family, node_cap_error
+from .inequalities import membership_family, node_cap_error
 
 # Most candidates the cross-check may scan: the size of its box, which the sweep
 # holds only when no prefix is cut.
@@ -152,17 +152,10 @@ def random_reachable(ops: CrystalOps, rng, depth: int) -> ZVector:
 # --------------------------------------------------------------------------------
 
 
-def _compile_matrix(family: ClosureResult, support: int):
-    """The restrictions to the support box of the family's forms that can go
-    negative, as ``(coeffs, consts, starts)``: read from its packed rows in
-    one pass, without a sort or a form (``ClosureResult.restriction``)."""
-    return family.restriction(support)
-
-
 def _candidate_matrix(support: int, total: int, *, matrix) -> list[tuple[int, ...]]:
     """Every nonnegative integer vector of length ``support`` with entry sum
     at most ``total`` that satisfies every row of ``matrix`` (as returned by
-    ``_compile_matrix``), in lexicographic order.
+    ``ClosureResult.restriction``), in lexicographic order.
 
     Candidates grow one column at a time, with no recursion, and a row cuts
     the prefixes it rejects right after its last active column is filled; a
@@ -184,6 +177,8 @@ def _candidate_matrix(support: int, total: int, *, matrix) -> list[tuple[int, ..
     if blob.translate(None, bytes([*range(most + 1), *range(256 - most, 256)])):
         most = 128
     bound = most * total
+    if bound >= 1 << 62:
+        raise ValueError(f"crosscheck row values reach {bound}, past the lane limit of 2**62 - 1")
     lane, code = next((w, c) for w, c in zip((1, 2, 4, 8), "bhiq")
                       if 2 * bound < 1 << 8 * w - 1)
     if consts and (min(consts) < -bound - 1 or max(consts) > bound):
@@ -230,8 +225,8 @@ def _candidates(support: int, depth: int) -> int:
 def _feasible_tuples(ctx: Context, lam, depth: int, support: int):
     family, converged = membership_family(ctx, lam, support, 1)
     if not converged:
-        raise node_cap_error(ctx, support, 1)
-    matrix = _compile_matrix(family, support)
+        raise node_cap_error(support, family)
+    matrix = family.restriction(support)
     return set(_candidate_matrix(support, depth, matrix=matrix)), len(matrix[0])
 
 

@@ -14,6 +14,7 @@ from crystal_poly import Context, CrystalOps, crosscheck_membership, epsilon_sta
 from crystal_poly import oracle
 from crystal_poly.cli import main
 from crystal_poly.crystal import ZVector
+from crystal_poly.inequalities import ClosureResult
 from crystal_poly.oracle import random_reachable
 
 from util import with_undo_moves
@@ -382,18 +383,18 @@ def test_crosscheck_makes_one_feasibility_pass_even_on_a_mismatch(tmp_path, caps
                                                                   monkeypatch):
     # a matrix with its rows dropped admits the whole box, so feasible_only
     # mismatches appear; no second pass is tried
-    compile_matrix, feasible_tuples = oracle._compile_matrix, oracle._feasible_tuples
+    restriction, feasible_tuples = ClosureResult.restriction, oracle._feasible_tuples
     calls = []
 
     def no_rows(family, support):
-        coeffs, consts, starts = compile_matrix(family, support)
+        coeffs, consts, starts = restriction(family, support)
         return coeffs[:0], consts[:0], [0] * len(starts)
 
     def counted(*args):
         calls.append(args)
         return feasible_tuples(*args)
 
-    monkeypatch.setattr(oracle, "_compile_matrix", no_rows)
+    monkeypatch.setattr(ClosureResult, "restriction", no_rows)
     monkeypatch.setattr(oracle, "_feasible_tuples", counted)
     report = crosscheck_membership(Context("A1", 3, (2, 1, 3)), {1: 1}, 2)
     assert len(calls) == 1

@@ -1,10 +1,12 @@
 """Linear forms, rewriting steps, closures, and membership checks."""
 
 import random
+from itertools import permutations
 
 import pytest
 
 from crystal_poly import inequalities
+from crystal_poly.cartan import Context
 from crystal_poly.crystal import CrystalOps, ZVector
 from crystal_poly.inequalities import (
     ClosureResult,
@@ -40,6 +42,7 @@ from util import (
     mk,
     reference_close,
     reference_membership,
+    reference_weight_closure,
     run_rewrite_relation_checks,
     unpack_row,
 )
@@ -262,24 +265,25 @@ W12 = {1: 1, 2: 1}
 
 
 def _closure_cases(ctx, window):
-    """Each closure entry point with the lam and seeds it hands ``_close``."""
+    """Each closure entry point with the (lam, seeds) parts it hands ``_close``."""
     variables = [variable(p) for p in range(1, _bound(ctx, window) + 1)]
     cases = [
-        ("limit", limit_inequalities(ctx, window), None, variables),
-        ("weight", weight_inequalities(ctx, W1, window), W1,
-         variables + [weight_seed(ctx, W1, k) for k in ctx.colors()]),
+        ("limit", limit_inequalities(ctx, window), [(None, variables)]),
+        # the limit part united with each color's boundary part
+        ("weight", weight_inequalities(ctx, W1, window),
+         [(None, variables)] + [(W1, [weight_seed(ctx, W1, k)]) for k in ctx.colors()]),
     ]
     for k in ctx.colors():
-        cases.append(("boundary", boundary_closure_for_color(ctx, W1, k, window), W1,
-                      [weight_seed(ctx, W1, k)]))
-        cases.append(("offset", offset_closure_for_color(ctx, k, window), None,
-                      [seed_offset(ctx, k)]))
+        cases.append(("boundary", boundary_closure_for_color(ctx, W1, k, window),
+                      [(W1, [weight_seed(ctx, W1, k)])]))
+        cases.append(("offset", offset_closure_for_color(ctx, k, window),
+                      [(None, [seed_offset(ctx, k)])]))
     # seeds past the bound: the search runs at the seeds' reach and keeps
     # every form inside it
     bound = _bound(ctx, window)
     past = [weight_seed(ctx, W1, 1), LinearForm(0, {bound + 1: -1}),
             LinearForm(0, {2: 1, bound + ctx.period: -1})]
-    cases.append(("past", _close(past, _delta(ctx, W1), bound), W1, past))
+    cases.append(("past", _close(past, _delta(ctx, W1), bound), [(W1, past)]))
     return cases
 
 
@@ -289,14 +293,49 @@ def _reach(ctx, window, seeds):
     return max([_bound(ctx, window)] + [f.max_pos() for f in seeds])
 
 
+def _reference(ctx, window, parts):
+    """``reference_close`` of each part, united up to the first unconverged
+    one, as ``membership_family`` unites its parts."""
+    forms, converged, pruned = frozenset(), True, 0
+    for lam, seeds in parts:
+        got, converged, more = reference_close(ctx, lam, seeds, _reach(ctx, window, seeds))
+        forms, pruned = forms | got, pruned + more
+        if not converged:
+            break
+    return forms, converged, pruned
+
+
 @pytest.mark.parametrize("family,word", GRID8)
 def test_close_matches_reference_driver(family, word):
     ctx = make_context(family, word)
     for window in (1, 2, 3, 4, 6):
-        for name, res, lam, seeds in _closure_cases(ctx, window):
-            want = reference_close(ctx, lam, seeds, _reach(ctx, window, seeds))
+        for name, res, parts in _closure_cases(ctx, window):
+            want = _reference(ctx, window, parts)
             assert (res.forms, res.converged, res.pruned) == want, (name, window)
             assert res.converged
+
+
+def test_weight_family_is_the_joint_seed_closure_on_every_small_word():
+    # every adapted word at ranks 2-4 (rank 2 is A1's alone): the limit
+    # closure united with the boundary ones has the rows of the closure of
+    # the variables and every weight seed together; positivity of the limit
+    # closure (Nakashima-Zelevinsky) is what makes the two agree
+    contexts = [Context(family, n, word) for n in (2, 3, 4)
+                for family in (("A1",) if n == 2 else ("A1", "A2", "C1", "D2"))
+                for word in permutations(range(1, n + 1))]
+    assert len(contexts) == 122
+    cases = 0
+    for ctx in contexts:
+        n = ctx.n
+        for lam in ({1: 1}, {n: 1}, {1: 1, 2: 1}, {2: 3}, {}):
+            for window in (1, n, 2 * n):
+                got = weight_inequalities(ctx, lam, window)
+                want = reference_weight_closure(ctx, lam, window)
+                assert (got.rows, got.width, got.converged) == (
+                    want.rows, want.width, want.converged), (ctx.family, ctx.word, lam, window)
+                cases += 1
+        assert check_positivity(ctx, limit_inequalities(ctx, 2 * n).forms), (ctx.family, ctx.word)
+    assert cases == 1830
 
 
 @pytest.mark.parametrize("family,word", GRID8)
@@ -304,8 +343,8 @@ def test_close_matches_reference_driver_when_capped(family, word, monkeypatch):
     monkeypatch.setenv("CRYSTAL_POLY_NODE_CAP", "50")
     ctx = make_context(family, word)
     for window in (3, 4):
-        for name, res, lam, seeds in _closure_cases(ctx, window):
-            want = reference_close(ctx, lam, seeds, _reach(ctx, window, seeds))
+        for name, res, parts in _closure_cases(ctx, window):
+            want = _reference(ctx, window, parts)
             assert (res.forms, res.converged, res.pruned) == want, (name, window)
             if name in ("limit", "weight"):
                 assert not res.converged and len(res.forms) == 50
@@ -380,6 +419,29 @@ def test_membership_family_shares_the_plain_closure_across_weights(monkeypatch):
     assert limit_inequalities(ctx, 6 - ctx.period).forms == plain.forms  # the same bound
     assert limit_inequalities(ctx, 6 - ctx.period) is plain  # the cached result itself
     assert len(calls) == 1 + ctx.n
+
+
+def test_membership_family_stops_at_its_first_capped_part(monkeypatch):
+    # C1 word 1,3,2 at support 3: a limit closure of 11 forms, then omega_1
+    # boundary closures of 2, 20 and 2 forms
+    monkeypatch.setattr(inequalities, "_PLAIN_CACHE", {})
+    built = []
+
+    def counted(seeds, delta, bound):
+        built.append(_close(seeds, delta, bound))
+        return built[-1]
+
+    monkeypatch.setattr(inequalities, "_close", counted)
+    ctx = make_context("C1", (1, 3, 2))
+    assert membership_family(ctx, W1, 3)[1] and [len(r) for r in built] == [11, 2, 20, 2]
+    for cap, sizes in ((15, [11, 2, 15]), (8, [8])):
+        monkeypatch.setenv("CRYSTAL_POLY_NODE_CAP", str(cap))
+        built.clear()
+        family, converged = membership_family(ctx, W1, 3)
+        # no closure is built after the first unconverged one
+        assert not converged and [len(r) for r in built] == sizes, cap
+        assert [r.converged for r in built] == [True] * (len(sizes) - 1) + [False]
+        assert family.rows == set().union(*(r.rows for r in built))
 
 
 def test_plain_closure_cache_never_stores_an_unconverged_result(monkeypatch):

@@ -27,7 +27,6 @@ from crystal_poly.inequalities import ClosureResult, epsilon_star_forms
 from crystal_poly.oracle import (
     MAX_CANDIDATES,
     _candidate_matrix,
-    _compile_matrix,
     random_reachable,
     weight_graded_counts,
 )
@@ -519,6 +518,15 @@ def test_sweep_past_the_recursion_limit():
     assert got == want and 0 < len(got) < support + 1
 
 
+def test_candidate_matrix_refuses_values_past_its_lanes():
+    # a coefficient past 63 // total takes the signed-byte bound 128 per unit
+    # of entry sum: 128 * 2**56 = 2**63 leaves no lane wide enough
+    with pytest.raises(ValueError) as err:
+        _candidate_matrix(1, 2**56, matrix=([b"\x05"], [-1], [0, 0, 1]))
+    assert str(err.value) == (f"crosscheck row values reach {2**63}, "
+                              "past the lane limit of 2**62 - 1")
+
+
 def test_compile_matrix_keeps_the_strongest_constant_per_row():
     # both restrict to -x1 on the support; the larger constant is the weaker row
     weak = LinearForm(3, {1: -1, 5: 2})
@@ -536,7 +544,7 @@ def test_compile_matrix_equals_the_row_by_row_reference(family):
             family, converged = membership_family(ctx, lam, support, margin)
             assert converged
             forms = family.forms
-            got = _compile_matrix(family, support)
+            got = family.restriction(support)
             coeffs, consts = reference_compile_matrix(forms, support)
             want = [*zip(map(tuple, coeffs.tolist()), consts.tolist())]
             assert len(want) > 0

@@ -18,8 +18,17 @@ from operator import attrgetter
 import numpy as np
 
 from crystal_poly import Context, CrystalOps, LinearForm, ZVector, generate_closure
-from crystal_poly.inequalities import ClosureResult, coupling_form, node_cap, rewrite, weight_seed
-from crystal_poly.oracle import _compile_matrix
+from crystal_poly.inequalities import (
+    ClosureResult,
+    _bound,
+    _close,
+    _delta,
+    coupling_form,
+    node_cap,
+    rewrite,
+    variable,
+    weight_seed,
+)
 from crystal_poly.shapes import (
     eyd_form,
     eyd_term_index,
@@ -293,8 +302,19 @@ def reference_close(ctx: Context, lam, seeds, bound: int):
     return frozenset(seen), converged, pruned
 
 
-# The row-by-row matrix compile that oracle._compile_matrix ran before it
-# moved to numpy, kept as a reference for it.
+# The joint-seed closure that inequalities.weight_inequalities ran before it
+# read membership_family, kept as a reference for it.
+def reference_weight_closure(ctx: Context, lam, window: int) -> ClosureResult:
+    """Closure of the variables plus every color's weight seed under the
+    boundary-aware step, at the entry points' bound."""
+    bound = _bound(ctx, window)
+    seeds = [variable(p) for p in range(1, bound + 1)]
+    seeds += [weight_seed(ctx, lam, k) for k in ctx.colors()]
+    return _close(seeds, _delta(ctx, lam), bound)
+
+
+# The row-by-row matrix compile that the crosscheck ran before it moved to
+# numpy, kept as a reference for ClosureResult.restriction.
 def reference_compile_matrix(forms, support: int):
     """Dense coefficient matrix of the forms' restrictions to the support box:
     rows that cannot go negative on nonnegative vectors dropped, duplicate
@@ -319,8 +339,8 @@ def reference_compile_matrix(forms, support: int):
     return coeffs, consts
 
 
-# The numpy compile that oracle._compile_matrix ran on forms before it read
-# the closures' packed rows, kept as a reference for it.
+# The numpy compile that the crosscheck ran on forms before it read the
+# closures' packed rows (ClosureResult.restriction), kept as a reference for it.
 def fromiter_compile_matrix(forms, support: int):
     forms = list(forms)
     pad = (0,) * support
@@ -369,7 +389,7 @@ def reference_membership(forms, x: ZVector) -> tuple[bool, LinearForm | None]:
 
 
 def signed_rows(matrix) -> list[tuple[tuple[int, ...], int]]:
-    """The rows of a compiled matrix (``oracle._compile_matrix``) as
+    """The rows of a compiled matrix (``ClosureResult.restriction``) as
     (coefficient tuple, constant) pairs, in its row order."""
     coeffs, consts, _ = matrix
     return [(tuple(memoryview(c).cast("b")), k) for c, k in zip(coeffs, consts)]
@@ -383,12 +403,12 @@ def canonical_rows(matrix) -> list[tuple[tuple[int, ...], int]]:
 
 
 def compile_forms(forms, support: int):
-    """``oracle._compile_matrix`` on one closure holding exactly ``forms``,
+    """``ClosureResult.restriction`` on one closure holding exactly ``forms``,
     checked against the construction from forms that it replaced: the same
     groups, each with the same rows and constants in some order.  That
     construction holds constants in int64; past it, nothing is compared."""
     forms = list(forms)
-    got = _compile_matrix(packed_closure(forms), support)
+    got = packed_closure(forms).restriction(support)
     if any(not -2**63 <= f.constant < 2**63 for f in forms):
         return got  # the reference holds constants in int64
     coeffs, consts, starts = fromiter_compile_matrix(forms, support)
@@ -418,7 +438,7 @@ def reference_candidate_matrix(support: int, total: int) -> np.ndarray:
 def reference_feasible(coeffs, consts, support: int, depth: int) -> set:
     """The candidates of entry sum at most ``depth`` that satisfy every row;
     ``coeffs`` holds one string of ``support`` signed bytes per row, as
-    ``oracle._compile_matrix`` gives them.  Constants are clipped to
+    ``ClosureResult.restriction`` gives them.  Constants are clipped to
     +-2**62 to fit int64, which decides every candidate alike while the
     linear parts stay far below it."""
     coeffs = np.frombuffer(b"".join(coeffs), np.int8).reshape(len(consts), support)
