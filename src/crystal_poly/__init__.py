@@ -7,44 +7,51 @@ shapes (extended Young diagrams, their revised two-sided variant, and Young
 walls), and brute-force oracles for cross-checking.
 
 The root exports exactly the names the README documents; everything else is
-reached through its module.
+reached through its module.  Importing the package loads no submodule: each
+root name imports its home module on first access (PEP 562), so a command
+that never touches the shapes or the oracles never compiles them.
 """
 
-from .cartan import Context
-from .crystal import CrystalOps, ZVector
-from .inequalities import LinearForm, limit_inequalities, membership, membership_family
-from .oracle import crosscheck_membership, epsilon_star_oracle, generate_closure, reaches_origin
-from .shapes import (
-    ExtendedYoungDiagram,
-    RevisedEYD,
-    YoungWall,
-    comb_lambda,
-    enumerate_shapes,
-    eyd_form,
-    reyd_form,
-    wall_form,
-)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Context",
-    "CrystalOps",
-    "ZVector",
-    "LinearForm",
-    "comb_lambda",
-    "limit_inequalities",
-    "membership",
-    "membership_family",
-    "ExtendedYoungDiagram",
-    "RevisedEYD",
-    "YoungWall",
-    "eyd_form",
-    "reyd_form",
-    "wall_form",
-    "enumerate_shapes",
-    "generate_closure",
-    "reaches_origin",
-    "epsilon_star_oracle",
-    "crosscheck_membership",
-]
+# each exported name -> the module that defines it
+_HOME = {
+    "Context": "cartan",
+    "CrystalOps": "crystal",
+    "ZVector": "crystal",
+    "LinearForm": "inequalities",
+    "limit_inequalities": "inequalities",
+    "membership": "inequalities",
+    "membership_family": "inequalities",
+    "comb_lambda": "shapes",
+    "ExtendedYoungDiagram": "shapes",
+    "RevisedEYD": "shapes",
+    "YoungWall": "shapes",
+    "eyd_form": "shapes",
+    "reyd_form": "shapes",
+    "wall_form": "shapes",
+    "enumerate_shapes": "shapes",
+    "generate_closure": "oracle",
+    "reaches_origin": "oracle",
+    "epsilon_star_oracle": "oracle",
+    "crosscheck_membership": "oracle",
+}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    try:
+        home = _HOME[name]
+    except KeyError:
+        # not a root name: ``from crystal_poly import shapes`` then imports
+        # the submodule
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(_import_module(f"{__name__}.{home}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

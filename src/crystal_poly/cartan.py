@@ -26,8 +26,18 @@ DEFAULT_NODE_CAP = 10**6
 
 
 def node_cap() -> int:
-    """The node budget of every search (``CRYSTAL_POLY_NODE_CAP``)."""
-    return int(os.environ.get("CRYSTAL_POLY_NODE_CAP", DEFAULT_NODE_CAP))
+    """The node budget of every search (``CRYSTAL_POLY_NODE_CAP``); ``ValueError``
+    unless it is a positive integer."""
+    raw = os.environ.get("CRYSTAL_POLY_NODE_CAP")
+    if raw is None:
+        return DEFAULT_NODE_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"CRYSTAL_POLY_NODE_CAP must be a positive integer, got {raw!r}")
+    return cap
 
 
 _DUAL = {"A1": "A1", "C1": "D2", "D2": "C1", "A2": "A2"}

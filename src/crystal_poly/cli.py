@@ -5,6 +5,10 @@ All subcommands read a JSON config file holding the family code, the rank
 first), and optionally a dominant weight ``lambda`` as a color-to-multiplicity
 mapping.  When ``lambda`` is absent or null, vector commands act on the limit
 crystal.
+
+Only ``cartan`` and ``crystal`` are imported here; each subcommand imports
+the modules it runs (``inequalities``, ``shapes``, ``oracle``), so a process
+compiles no module its command never calls.
 """
 
 from __future__ import annotations
@@ -15,19 +19,6 @@ import sys
 
 from .cartan import Context, weight_from_config
 from .crystal import CrystalOps, ZVector
-from .inequalities import (
-    boundary_closure_for_color,
-    epsilon_star_forms,
-    limit_inequalities,
-    membership,
-    membership_family,
-    node_cap_error,
-    offset_closure_for_color,
-    sorted_forms,
-    weight_inequalities,
-)
-from .oracle import crosscheck_membership, epsilon_star_oracle, weight_graded_counts
-from .shapes import comb_infinity, comb_lambda, weight_family
 
 
 def _unique_keys(pairs) -> dict:
@@ -65,6 +56,8 @@ def _load_config(path: str) -> dict:
 
 
 def _forms_payload(ctx: Context, meta: dict, forms, converged: bool) -> dict:
+    from .inequalities import sorted_forms
+
     ordered = sorted_forms(forms)
     payload = dict(meta)
     payload["converged"] = bool(converged)
@@ -76,6 +69,8 @@ def _forms_payload(ctx: Context, meta: dict, forms, converged: bool) -> dict:
 def cmd_gen_ineq(ctx: Context, lam: dict, args) -> int:
     window, mode, k = args.window, args.mode, args.k
     if mode == "sprime":
+        from .inequalities import limit_inequalities, offset_closure_for_color
+
         res = (
             limit_inequalities(ctx, window)
             if k is None
@@ -83,18 +78,23 @@ def cmd_gen_ineq(ctx: Context, lam: dict, args) -> int:
         )
         forms, converged = res.within(window), res.converged
     elif mode == "shat":
+        from .inequalities import boundary_closure_for_color, weight_inequalities
+
         res = (
             weight_inequalities(ctx, lam, window)
             if k is None
             else boundary_closure_for_color(ctx, lam, k, window)
         )
         forms, converged = res.within(window), res.converged
-    elif mode == "comb-limit":
-        forms, converged = comb_infinity(ctx, window)
-    elif k is None:
-        forms, converged = weight_family(ctx, lam, window)
     else:
-        forms, converged = comb_lambda(ctx, lam, k, window)
+        from .shapes import comb_infinity, comb_lambda, weight_family
+
+        if mode == "comb-limit":
+            forms, converged = comb_infinity(ctx, window)
+        elif k is None:
+            forms, converged = weight_family(ctx, lam, window)
+        else:
+            forms, converged = comb_lambda(ctx, lam, k, window)
     meta = {
         "family": ctx.family,
         "n": ctx.n,
@@ -115,6 +115,8 @@ def cmd_gen_ineq(ctx: Context, lam: dict, args) -> int:
 
 def _verdict(ctx: Context, lam, x: ZVector, margin: int):
     """x against the membership family: ``(family, support, witness text or None)``."""
+    from .inequalities import membership, membership_family, node_cap_error
+
     support = max(x.max_pos(), ctx.n)
     family, converged = membership_family(ctx, lam, support, margin)
     if not converged:
@@ -137,6 +139,8 @@ def cmd_check(ctx: Context, lam: dict | None, args) -> int:
 
 
 def cmd_enumerate(ctx: Context, lam: dict | None, args) -> int:
+    from .oracle import weight_graded_counts
+
     counts = weight_graded_counts(CrystalOps(ctx, lam), args.depth)
     # each lowering step adds one to the entry sum, so depth d is entry sum d
     by_depth = [0] * (args.depth + 1)
@@ -158,15 +162,20 @@ def cmd_epsilon_star(ctx: Context, args) -> int:
         witness = _verdict(ctx, None, x, 0)[2]
         if witness is not None:
             raise ValueError(f"vector is outside the limit crystal: {witness}")
+    methods = {}
+    if args.method in ("forms", "both"):
+        from .inequalities import epsilon_star_forms
+
+        methods["forms"] = epsilon_star_forms
+    if args.method in ("oracle", "both"):
+        from .oracle import epsilon_star_oracle
+
+        methods["oracle"] = epsilon_star_oracle
     ks = [args.k] if args.k is not None else list(ctx.colors())
     disagree = False
     lines = []
     for k in ks:
-        entry = {}
-        if args.method in ("forms", "both"):
-            entry["forms"] = epsilon_star_forms(ctx, x, k)
-        if args.method in ("oracle", "both"):
-            entry["oracle"] = epsilon_star_oracle(ctx, x, k)
+        entry = {method: run(ctx, x, k) for method, run in methods.items()}
         if len(entry) == 2 and entry["forms"] != entry["oracle"]:
             disagree = True
         lines.append(f"k={k}: " + " ".join(f"{m}={v}" for m, v in entry.items()))
@@ -175,6 +184,8 @@ def cmd_epsilon_star(ctx: Context, args) -> int:
 
 
 def cmd_crosscheck(ctx: Context, lam: dict, args) -> int:
+    from .oracle import crosscheck_membership
+
     report = crosscheck_membership(ctx, lam, args.depth, args.window)
     print(json.dumps(report, indent=2))
     return 0 if report["matched"] else 1

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import time
 from itertools import chain
-from math import comb
 from struct import pack
 
 from .cartan import Context, node_cap
@@ -213,8 +212,20 @@ def _candidate_matrix(support: int, total: int, *, matrix) -> list[tuple[int, ..
 
 
 def _candidates(support: int, depth: int) -> int:
-    """The size of the candidate box; ``RuntimeError`` past ``MAX_CANDIDATES``."""
-    candidates = comb(support + depth, depth)
+    """The size of the candidate box, ``comb(support + depth, depth)``;
+    ``RuntimeError`` past ``MAX_CANDIDATES``.
+
+    The binomial is multiplied out one term at a time, each partial product
+    the box at a smaller depth, so a box far past the limit is refused at the
+    first partial product past it, without building the whole count.
+    """
+    candidates = 1
+    for d in range(1, depth + 1):
+        candidates = candidates * (support + d) // d
+        if candidates > MAX_CANDIDATES and d < depth:
+            raise RuntimeError(
+                f"crosscheck needs more than {MAX_CANDIDATES} candidates "
+                f"(support {support}, depth {depth})")
     if candidates > MAX_CANDIDATES:
         raise RuntimeError(
             f"crosscheck needs {candidates} candidates (support {support}, "

@@ -6,6 +6,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -423,6 +424,37 @@ def test_crosscheck_node_cap_names_its_numbers(tmp_path, capsys, monkeypatch):
                                    "forms (support 6, closure bound 9)")
 
 
+@pytest.mark.parametrize("depth", [20000, 200000])
+def test_crosscheck_refuses_a_huge_box_without_counting_it(tmp_path, capsys, depth):
+    # the box at depth 1 already passes the limit: refused there, before its
+    # count (over 4300 digits at depth 20000) is ever built
+    cfg = write_cfg(tmp_path)
+    t0 = time.perf_counter()
+    rc = main(["--config", cfg, "crosscheck", "--depth", str(depth)])
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == ("error: crosscheck needs more than 150000 candidates "
+                            f"(support {3 * depth}, depth {depth})\n")
+    assert elapsed < 0.5
+
+
+@pytest.mark.parametrize("cap", ["abc", "1e3", "0", "-5"])
+@pytest.mark.parametrize("argv", [
+    ["check", "--vector", "[0, 1]"],
+    ["enumerate", "--depth", "2"],
+    ["gen-ineq", "--mode", "sprime", "--window", "4"],
+], ids=["check", "enumerate", "gen-ineq"])
+def test_node_cap_must_be_a_positive_integer(tmp_path, capsys, monkeypatch, argv, cap):
+    monkeypatch.setenv("CRYSTAL_POLY_NODE_CAP", cap)
+    cfg = write_cfg(tmp_path)
+    rc = main(["--config", cfg, *argv])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == ("error: CRYSTAL_POLY_NODE_CAP must be a positive integer, "
+                            f"got {cap!r}\n")
+
+
 @pytest.mark.parametrize("family,word", [("A1", (2, 1, 3)), ("C1", (1, 2, 3)),
                                          ("A2", (2, 1, 3)), ("D2", (1, 2, 3))])
 def test_crosscheck_takes_a_multiplicity_past_int64(tmp_path, capsys, family, word):
@@ -581,31 +613,40 @@ def test_cli_subprocess_entry_point(tmp_path):
     assert proc.stdout.splitlines()[:2] == ["depth 0: 1", "depth 1: 3"]
 
 
-# Runs the CLI on its arguments, then reports on stderr whether numpy was imported.
-_NUMPY_PROBE = """
+# Runs the CLI on its arguments, then reports on stderr whether numpy was
+# imported, the package modules loaded, and the exit code.
+_IMPORT_PROBE = """
 import sys
 from crystal_poly.cli import main
 rc = main(sys.argv[1:])
-print("numpy" in sys.modules, rc, file=sys.stderr)
+loaded = sorted(m.split(".")[1] for m in sys.modules if m.startswith("crystal_poly."))
+print("numpy" in sys.modules, ",".join(loaded), rc, file=sys.stderr)
 """
 
+_CLOSURES = "cartan,cli,crystal,inequalities"
+_SHAPES = _CLOSURES + ",shapes"
+_ORACLE = _CLOSURES + ",oracle"
 
-@pytest.mark.parametrize("argv", [
-    ["gen-ineq", "--mode", "sprime", "--window", "4"],
-    ["gen-ineq", "--mode", "shat", "--window", "4"],
-    ["gen-ineq", "--mode", "comb", "--k", "1", "--window", "6"],
-    ["gen-ineq", "--mode", "comb-limit", "--window", "6"],
-    ["check", "--vector", "[0, 1]"],
-    ["enumerate", "--depth", "3"],
-    ["epsilon-star", "--vector", "[1, 1]"],
-    ["crosscheck", "--depth", "3"],
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["gen-ineq", "--mode", "sprime", "--window", "4"], _CLOSURES),
+    (["gen-ineq", "--mode", "shat", "--window", "4"], _CLOSURES),
+    (["gen-ineq", "--mode", "comb", "--k", "1", "--window", "6"], _SHAPES),
+    (["gen-ineq", "--mode", "comb-limit", "--window", "6"], _SHAPES),
+    (["check", "--vector", "[0, 1]"], _CLOSURES),
+    (["enumerate", "--depth", "3"], _ORACLE),
+    (["epsilon-star", "--vector", "[1, 1]"], _ORACLE),
+    (["epsilon-star", "--vector", "[1, 1]", "--method", "oracle"], _ORACLE),
+    (["epsilon-star", "--vector", "[1, 1]", "--method", "forms"], _CLOSURES),
+    (["crosscheck", "--depth", "3"], _ORACLE),
 ], ids=["gen-ineq-sprime", "gen-ineq-shat", "gen-ineq-comb", "gen-ineq-comb-limit", "check",
-        "enumerate", "epsilon-star", "crosscheck"])
-def test_no_cli_command_imports_numpy(tmp_path, argv):
+        "enumerate", "epsilon-star", "epsilon-star-oracle", "epsilon-star-forms", "crosscheck"])
+def test_no_cli_command_imports_numpy(tmp_path, argv, loaded):
+    # each command imports the package modules it runs and no other
     cfg = write_cfg(tmp_path, lam={1: 1})
-    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, "--config", cfg, *argv],
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, "--config", cfg, *argv],
                           capture_output=True, text=True, timeout=120)
-    assert proc.stderr.splitlines()[-1] == "False 0"
+    assert proc.stderr.splitlines()[-1] == f"False {loaded} 0"
 
 
 def test_no_package_module_imports_numpy():
@@ -661,7 +702,7 @@ BASE_CFG = {"family": "A1", "n": 3, "iota_word": [2, 1, 3]}
         (BASE_CFG, ["enumerate", "--depth", "-1"], "--depth"),
         (BASE_CFG, ["crosscheck", "--depth", "-2"], "--depth"),
         (BASE_CFG, ["crosscheck", "--depth", "1", "--window", "-1"], "--window"),
-        (BASE_CFG, ["crosscheck", "--depth", "7"], "1184040 candidates"),
+        (BASE_CFG, ["crosscheck", "--depth", "7"], "more than 150000 candidates"),
         ({**BASE_CFG, "iota_word": 5}, ["enumerate", "--depth", "1"], "iota_word"),
         ({**BASE_CFG, "n": None}, ["enumerate", "--depth", "1"], "n must"),
         ({**BASE_CFG, "lambda": [1]}, ["enumerate", "--depth", "1"], "lambda"),

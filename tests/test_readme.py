@@ -4,8 +4,12 @@ and the package root held to the names the README documents."""
 import json
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
+
+import pytest
 
 import crystal_poly
 from crystal_poly.cli import main
@@ -29,11 +33,26 @@ def test_root_exports_exactly_the_documented_names():
     names = re.findall(r"\w+", re.search(r"from crystal_poly import \((.*?)\)", code, re.S)[1])
     (para,) = [p for p in README.split("\n\n") if "exported from the package root" in p]
     names += re.findall(r"`(\w+)`", para)
-    assert sorted(names) == sorted(crystal_poly.__all__)
     assert len(set(names)) == len(names)
-    public = {name for name, value in vars(crystal_poly).items()
-              if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert sorted(names) == sorted(crystal_poly.__all__)
+    # root names resolve on first access, so dir(), not vars(), lists them
+    public = {name for name in dir(crystal_poly)
+              if not name.startswith("_") and not isinstance(getattr(crystal_poly, name), ModuleType)}
     assert public == set(names)  # every documented name is bound, and nothing else
+    for name in names:  # each the object its home module defines
+        value = getattr(crystal_poly, name)
+        assert value.__module__.startswith("crystal_poly."), name
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    with pytest.raises(AttributeError):
+        crystal_poly.sorted_forms  # noqa: B018  (defined in inequalities, not exported)
+
+
+def test_importing_the_root_loads_no_submodule():
+    probe = ("import sys, crystal_poly; "
+             "print(sorted(m for m in sys.modules if m.startswith('crystal_poly.')))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_cli_examples_print_what_the_readme_shows(tmp_path, capsys):
