@@ -210,6 +210,8 @@ def rewrite(ctx: Context, lam: dict[int, int] | None, form: LinearForm,
 
 _BIAS = 128  # a coefficient c is stored as the byte c + _BIAS
 _SPAN = 63  # the coefficients of an expanded row and of a step: |c| <= _SPAN
+# the packed seed rows a plain closure may start from: seeds x width bytes at most
+_SEED_BYTES = 1 << 24
 _OUT = 3
 # class of a coefficient byte: 0 zero, 1 positive, 2 negative, _OUT past +-_SPAN
 _CLASSES = bytes(0 if v == _BIAS else _OUT if abs(v - _BIAS) > _SPAN else
@@ -409,12 +411,12 @@ def _close(seeds, delta, bound: int) -> ClosureResult:
     return ClosureResult(seen, width, converged, pruned)
 
 
-def _bound(ctx: Context, window: int, margin_periods: int = 2) -> int:
+def _bound(ctx: Context, window: int, margin_periods: int = 0) -> int:
     """The one margin convention: closures run ``margin_periods`` word periods
-    past the window, and never less than one period out.  Every seed of the
-    entry points (the variables, each color's weight seed and seed offset)
-    then lies inside the bound, so each of their closures has width the
-    bound."""
+    past the window (by default none: the window-sliced entry points stop at
+    it), and never less than one period out.  Every seed of the entry points
+    (the variables, each color's weight seed and seed offset) then lies inside
+    the bound, so each of their closures has width the bound."""
     return max(window + margin_periods * ctx.period, ctx.period)
 
 
@@ -427,11 +429,17 @@ def _plain_closure(ctx: Context, bound: int) -> ClosureResult:
     It does not depend on the weight, so one is built per (ctx, bound, node
     cap) and shared by every caller.  Only converged results are stored; the
     cap is in the key because a result that converged under one cap need not
-    converge under a lower one.
+    converge under a lower one.  Its ``bound`` seeds take ``bound`` bytes
+    each; past ``_SEED_BYTES`` in all they are refused with ``RuntimeError``
+    before the first is built.
     """
     key = (ctx.family, ctx.n, ctx.word, bound, node_cap())
     res = _PLAIN_CACHE.get(key)
     if res is None:
+        if bound * bound > _SEED_BYTES:
+            raise RuntimeError(
+                f"plain closure of {bound} variable seeds at width {bound} needs "
+                f"{bound * bound} bytes of seed rows, over the limit of {_SEED_BYTES}")
         res = _close([variable(p) for p in range(1, bound + 1)], _delta(ctx, None), bound)
         if res.converged:
             _PLAIN_CACHE[key] = res
@@ -444,8 +452,11 @@ def limit_inequalities(ctx: Context, window: int) -> ClosureResult:
 
 
 def weight_inequalities(ctx: Context, lam, window: int) -> ClosureResult:
-    """The highest-weight family: ``membership_family`` at support ``window``, margin 2."""
-    return membership_family(ctx, lam, window, 2)[0]
+    """The highest-weight family: ``membership_family`` at support
+    ``window``, margin 0, so that like every entry point it stops at its
+    window.  Inside the window it keeps the rows of the margin-2 family that
+    ``check`` reads."""
+    return membership_family(ctx, lam, window, 0)[0]
 
 
 def boundary_closure_for_color(ctx: Context, lam, k: int, window: int) -> ClosureResult:
@@ -467,7 +478,9 @@ def membership_family(ctx: Context, lam, support: int,
     ``_plain_closure``, and returned itself when ``lam`` is None) united, in
     the highest-weight case, with the closure of each color's boundary seed,
     all at the bound ``margin_periods`` word periods past ``support`` (see
-    ``_bound``).  Every part then has that bound as its width, so the union
+    ``_bound``): 2 for ``check``, 1 for the cross-check, 0 for
+    ``weight_inequalities`` and the ``epsilon-star`` membership guard.
+    Every part then has that bound as its width, so the union
     is the plain set union of the parts' rows, undecoded.  Terms at
     positions beyond ``support`` evaluate to zero on such vectors, so only
     each form's restriction to the support matters; generating out to a

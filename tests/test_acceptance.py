@@ -345,14 +345,16 @@ def test_criterion_7_structural_invariants():
             relation_ok += ok
         assert relation_ok >= 1000
 
+        # the closures are read whole, past any window: each is closed two
+        # periods past 9 (6 for reyd colors)
         for fam, word in GRID8:
             ctx = Context(fam, 3, word)
-            clo = limit_inequalities(ctx, 9)
+            clo = limit_inequalities(ctx, 15)
             assert clo.converged and check_positivity(ctx, clo.forms), (fam, word)
-            assert check_strict_positivity(ctx, 9), (fam, word)
+            assert check_strict_positivity(ctx, 15), (fam, word)
             for lam in ({1: 1}, {1: 1, 2: 1}):
                 for k in ctx.colors():
-                    window = 6 if shape_kind(ctx, k) == "reyd" else 9
+                    window = 12 if shape_kind(ctx, k) == "reyd" else 15
                     bc = boundary_closure_for_color(ctx, lam, k, window)
                     assert bc.converged and check_ample(bc.forms), (fam, word, lam, k)
 

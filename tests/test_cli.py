@@ -164,6 +164,23 @@ def test_vector_position_past_the_node_cap_exits_2_before_allocating(
                               "of 1000000 positions")
 
 
+@pytest.mark.parametrize("argv, bound", [
+    (["check", "--vector", "{100000: 1}"], 100006),  # support plus two periods
+    (["gen-ineq", "--mode", "sprime", "--window", "1000001"], 1000001),
+], ids=["check", "gen-ineq"])
+def test_huge_seed_set_exits_2_before_a_seed_is_built(tmp_path, capsys, argv, bound):
+    cfg = write_cfg(tmp_path, lam={1: 1})
+    t0 = time.perf_counter()
+    rc = main(["--config", cfg, *argv])
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == (f"error: plain closure of {bound} variable seeds at width {bound} "
+                            f"needs {bound * bound} bytes of seed rows, over the limit of "
+                            f"16777216\n")
+    assert elapsed < 1
+
+
 @pytest.mark.parametrize(
     "lam, member_rc, counts",
     [({}, 0, [1, 3, 9]), ({"lambda": None}, 0, [1, 3, 9]), ({"lambda": {}}, 1, [1, 0, 0])],

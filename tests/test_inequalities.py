@@ -1,6 +1,8 @@
 """Linear forms, rewriting steps, closures, and membership checks."""
 
 import random
+import time
+from functools import partial
 from itertools import permutations
 
 import pytest
@@ -241,8 +243,11 @@ def test_limit_closure_contains_series_instances():
 def test_closure_within_filters_by_position():
     ctx = make_context("A1")
     clo = limit_inequalities(ctx, 6)
-    assert all(f.max_pos() <= 6 for f in clo.within(6))
-    assert any(f.max_pos() > 6 for f in clo.forms)  # margin extends past window
+    assert clo.width == max(6, ctx.period)  # the entry point stops at the window
+    assert clo.forms == clo.within(6)
+    wide = limit_inequalities(ctx, 6 + 2 * ctx.period)
+    assert all(f.max_pos() <= 6 for f in wide.within(6))
+    assert any(f.max_pos() > 6 for f in wide.forms)  # a wider bound passes the window
 
 
 def test_boundary_closure_singleton_case():
@@ -254,7 +259,7 @@ def test_boundary_closure_singleton_case():
 
 def test_weight_closure_contains_variables():
     ctx = make_context("A1")
-    clo = weight_inequalities(ctx, {1: 1}, 4)
+    clo = weight_inequalities(ctx, {1: 1}, 4 + 2 * ctx.period)
     assert clo.converged
     for p in range(1, 5):
         assert variable(p) in clo.forms
@@ -309,8 +314,9 @@ def _reference(ctx, window, parts):
 def test_close_matches_reference_driver(family, word):
     ctx = make_context(family, word)
     for window in (1, 2, 3, 4, 6):
-        for name, res, parts in _closure_cases(ctx, window):
-            want = _reference(ctx, window, parts)
+        wide = window + 2 * ctx.period
+        for name, res, parts in _closure_cases(ctx, wide):
+            want = _reference(ctx, wide, parts)
             assert (res.forms, res.converged, res.pruned) == want, (name, window)
             assert res.converged
 
@@ -326,15 +332,16 @@ def test_weight_family_is_the_joint_seed_closure_on_every_small_word():
     assert len(contexts) == 122
     cases = 0
     for ctx in contexts:
-        n = ctx.n
+        n, margin = ctx.n, 2 * ctx.period
         for lam in ({1: 1}, {n: 1}, {1: 1, 2: 1}, {2: 3}, {}):
-            for window in (1, n, 2 * n):
+            for window in (1 + margin, n + margin, 2 * n + margin):
                 got = weight_inequalities(ctx, lam, window)
                 want = reference_weight_closure(ctx, lam, window)
                 assert (got.rows, got.width, got.converged) == (
                     want.rows, want.width, want.converged), (ctx.family, ctx.word, lam, window)
                 cases += 1
-        assert check_positivity(ctx, limit_inequalities(ctx, 2 * n).forms), (ctx.family, ctx.word)
+        assert check_positivity(ctx, limit_inequalities(ctx, 2 * n + margin).forms), (
+            ctx.family, ctx.word)
     assert cases == 1830
 
 
@@ -343,18 +350,72 @@ def test_close_matches_reference_driver_when_capped(family, word, monkeypatch):
     monkeypatch.setenv("CRYSTAL_POLY_NODE_CAP", "50")
     ctx = make_context(family, word)
     for window in (3, 4):
-        for name, res, parts in _closure_cases(ctx, window):
-            want = _reference(ctx, window, parts)
+        wide = window + 2 * ctx.period
+        for name, res, parts in _closure_cases(ctx, wide):
+            want = _reference(ctx, wide, parts)
             assert (res.forms, res.converged, res.pruned) == want, (name, window)
             if name in ("limit", "weight"):
                 assert not res.converged and len(res.forms) == 50
+
+
+def _entry_points(ctx):
+    """Each window-sliced entry point as a function of the window, with the
+    (lam, seeds) parts it closes; seeds ``None`` are the variables up to the
+    bound."""
+    plain = (None, None)
+    cases = [("limit", partial(limit_inequalities, ctx), [plain])]
+    for lam in (W1, W12):
+        boundary = [(lam, [weight_seed(ctx, lam, k)]) for k in ctx.colors()]
+        cases.append((("weight", lam), partial(weight_inequalities, ctx, lam),
+                      [plain] + boundary))
+        cases += [(("boundary", lam, k), partial(boundary_closure_for_color, ctx, lam, k), [part])
+                  for k, part in zip(ctx.colors(), boundary)]
+    cases += [(("offset", k), partial(offset_closure_for_color, ctx, k),
+               [(None, [seed_offset(ctx, k)])]) for k in ctx.colors()]
+    return cases
+
+
+def test_entry_points_keep_the_margin_two_rows_inside_the_window():
+    # every entry point stops at its window, yet keeps inside it the rows and
+    # the convergence of its parts closed two periods further out
+    t0 = time.perf_counter()
+    cases = short = 0
+    for family, word in GRID8:
+        ctx = make_context(family, word)
+        built = {}
+
+        def cut(parts, bound, window):
+            """The parts closed with ``_close`` at the bound, cut to the window."""
+            forms, converged = frozenset(), True
+            for part in parts:
+                res = built.get((id(part), bound))
+                if res is None:
+                    lam, seeds = part
+                    seeds = seeds or [variable(p) for p in range(1, bound + 1)]
+                    res = built[id(part), bound] = _close(seeds, _delta(ctx, lam), bound)
+                forms, converged = forms | res.within(window), converged and res.converged
+            return forms, converged
+
+        entry_points = _entry_points(ctx)
+        for window in range(13):
+            for name, entry, parts in entry_points:
+                res = entry(window)
+                want = cut(parts, window + 2 * ctx.period, window)
+                assert (res.within(window), res.converged) == want, (family, word, name, window)
+                # negative control: closed one position short of the window,
+                # the same comparison fails
+                short += window > 0 and cut(parts, window - 1, window) != want
+                cases += 1
+    elapsed = time.perf_counter() - t0
+    assert cases == 8 * 13 * 12 and short > 0
+    assert elapsed < 10, f"over budget: {elapsed:.1f}s"
 
 
 @pytest.mark.parametrize("lam", [{1: 1000}, {1: 70, 2: 70}])
 @pytest.mark.parametrize("family,word", GRID8)
 def test_close_matches_reference_driver_with_constants_past_a_byte(family, word, lam):
     ctx = make_context(family, word)
-    bound = _bound(ctx, 3)
+    bound = 3 + 2 * ctx.period
     variables = [variable(p) for p in range(1, bound + 1)]
     weight = [weight_seed(ctx, lam, k) for k in ctx.colors()]
     for seeds in [variables + weight] + [[seed] for seed in weight]:
@@ -391,8 +452,8 @@ def test_close_refuses_coefficients_outside_the_packed_span():
 
 def test_node_cap_stops_generation(monkeypatch):
     monkeypatch.setenv("CRYSTAL_POLY_NODE_CAP", "5")
-    clo = limit_inequalities(make_context("A1"), 6)
-    assert not clo.converged
+    ctx = make_context("A1")
+    assert not limit_inequalities(ctx, 6 + 2 * ctx.period).converged
 
 
 def _count_close_calls(monkeypatch):
@@ -416,8 +477,8 @@ def test_membership_family_shares_the_plain_closure_across_weights(monkeypatch):
     weighted, _ = membership_family(ctx, W1, 6)
     assert len(calls) == 1 + ctx.n  # one boundary closure per color, no plain one
     assert plain.forms <= weighted.forms
-    assert limit_inequalities(ctx, 6 - ctx.period).forms == plain.forms  # the same bound
-    assert limit_inequalities(ctx, 6 - ctx.period) is plain  # the cached result itself
+    assert limit_inequalities(ctx, 6 + ctx.period).forms == plain.forms  # the same bound
+    assert limit_inequalities(ctx, 6 + ctx.period) is plain  # the cached result itself
     assert len(calls) == 1 + ctx.n
 
 
@@ -449,25 +510,25 @@ def test_plain_closure_cache_never_stores_an_unconverged_result(monkeypatch):
     ctx = make_context("A1")
     monkeypatch.setenv("CRYSTAL_POLY_NODE_CAP", "50")
     for _ in range(2):
-        assert not limit_inequalities(ctx, 6).converged
+        assert not limit_inequalities(ctx, 6 + 2 * ctx.period).converged
     assert len(calls) == 2 and inequalities._PLAIN_CACHE == {}
 
 
 def test_plain_closure_cache_is_keyed_by_the_node_cap(monkeypatch):
     _count_close_calls(monkeypatch)
     ctx = make_context("A1")
-    full = limit_inequalities(ctx, 6)
+    full = limit_inequalities(ctx, 6 + 2 * ctx.period)
     assert full.converged and len(full.forms) > 50
     monkeypatch.setenv("CRYSTAL_POLY_NODE_CAP", "50")
-    capped = limit_inequalities(ctx, 6)
+    capped = limit_inequalities(ctx, 6 + 2 * ctx.period)
     assert not capped.converged and len(capped.forms) == 50
 
 
 def _membership_parts(ctx, lam, support, margin):
     """The closures ``membership_family`` unites, built through the entry
-    points: ``margin`` periods past the support is the entry points' two
-    periods past a window ``margin - 2`` periods beyond it."""
-    window = support + (margin - 2) * ctx.period
+    points, which stop at their window: here ``margin`` periods past the
+    support."""
+    window = support + margin * ctx.period
     parts = [limit_inequalities(ctx, window)]
     if lam is not None:
         parts += [boundary_closure_for_color(ctx, lam, k, window) for k in ctx.colors()]
@@ -573,12 +634,12 @@ def test_membership_family_limit_crystal():
 
 @pytest.mark.parametrize("family,word", GRID8)
 def test_membership_family_shares_the_entry_points_margin(family, word):
-    # m margin periods past the support is the default two past a window
-    # m - 2 periods beyond the support
+    # m margin periods past the support is the entry points' bound at a
+    # window m periods beyond the support
     ctx = make_context(family, word)
     support = 6
     for m in (1, 2):
-        window = support + (m - 2) * ctx.period
+        window = support + m * ctx.period
         for lam in (None, W1):
             want = set(limit_inequalities(ctx, window).forms)
             if lam is not None:
@@ -768,8 +829,9 @@ def test_epsilon_star_forms_node_cap_error_names_its_numbers(monkeypatch):
 
 def test_positivity_checks():
     ctx = make_context("A1")
-    assert check_positivity(ctx, limit_inequalities(ctx, 6).forms)
-    assert check_strict_positivity(ctx, 6)
+    wide = 6 + 2 * ctx.period
+    assert check_positivity(ctx, limit_inequalities(ctx, wide).forms)
+    assert check_strict_positivity(ctx, wide)
     bad = mk(ctx, {(1, 1): -1})
     hit = first_violation_positivity(ctx, [bad])
     assert hit == (bad, ctx.pos_of(1, 1))
@@ -791,7 +853,7 @@ def test_first_violation_positivity_takes_the_smallest_violator():
 def test_offset_closure_seed_is_only_negative_start():
     ctx = make_context("C1")
     for k in ctx.colors():
-        res = offset_closure_for_color(ctx, k, 6)
+        res = offset_closure_for_color(ctx, k, 6 + 2 * ctx.period)
         assert res.converged
         assert check_positivity(ctx, res.forms - {seed_offset(ctx, k)})
 
