@@ -98,10 +98,9 @@ def fold_color(family: str, n: int, t: int) -> int:
     """Color at slot ``t`` of the periodic folded pattern (defined on all ints).
 
     The pattern runs ``1, 2, ..., n`` and back down, with family-specific
-    behavior at the turning points; for ``A1`` it is the plain cycle.
+    behavior at the turning points; for ``A1``, whose period is ``n``, it is
+    the plain cycle.
     """
-    if family == "A1":
-        return ((t - 1) % n) + 1
     period = fold_period(family, n)
     m = ((t - 1) % period) + 1
     if m <= n:

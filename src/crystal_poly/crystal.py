@@ -1,14 +1,16 @@
 """Raising/lowering operator actions on sparse integer vectors.
 
 Elements live in the ambient space of almost-zero integer sequences indexed by
-word positions.  For a dominant weight the operators implement the tensor rule
-with the one-point weight crystal; with no weight (``lam=None``) they realize
-the limit crystal where the lowering operators always act.  Every operator and
-structure function reads one signature kernel, which works on a vector's dense
-row (its entries at positions 1..max_pos).  ``SignatureLanes`` packs the
-kernel's values into integer lanes, so that the operator BFS lowers a packed
-state with one integer addition per field; those additions are read off the
-packing itself, so ``CrystalOps._shifted`` is the one statement of the rule.
+word positions, stored as dense rows (``DenseRow``, shared with linear forms).
+For a dominant weight the operators implement the tensor rule with the
+one-point weight crystal; with no weight (``lam=None``) they realize the limit
+crystal where the lowering operators always act.  Every operator and structure
+function reads one signature kernel, which works on a vector's dense row (its
+entries at positions 1..max_pos).  ``SignatureLanes`` packs the kernel's values
+into integer lanes, so that the operator BFS lowers a packed state with one
+integer addition per field; those additions are read off the packing itself, so
+``CrystalOps._shifted`` is the one statement of the rule.  ``_lane_width`` is
+the one lane rule of the packed searches: this BFS and the cross-check sweep.
 """
 
 from __future__ import annotations
@@ -45,28 +47,49 @@ def _plus(row: tuple, pos: int, delta: int) -> tuple:
     top = len(row)
     if pos > top:
         return row + (0,) * (pos - top - 1) + (delta,)
-    v = row[pos - 1] + delta
-    if v or pos < top:
-        return row[:pos - 1] + (v,) + row[pos:]
-    row = row[:pos - 1]  # the last entry vanished
-    while row and not row[-1]:
-        row = row[:-1]
-    return row
+    return DenseRow._trim(row[:pos - 1] + (row[pos - 1] + delta,) + row[pos:])
 
 
-class ZVector:
-    """Immutable integer vector on positions 1, 2, ..., almost all entries 0.
-
-    Stored as its dense row: the tuple of entries at positions 1..max_pos(),
-    whose last entry is nonzero, so that equal vectors have equal rows.
-    Entries may be negative (the ambient space allows it); vectors reachable
-    from zero by lowering operators stay nonnegative.
-    """
+class DenseRow:
+    """Entries at positions 1, 2, ..., almost all 0, stored as the dense row:
+    the tuple of entries at positions 1..max_pos(), whose last entry is
+    nonzero, so that equal entries mean equal rows.  ``ZVector`` and
+    ``inequalities.LinearForm`` (its coefficients the entries) subclass it."""
 
     __slots__ = ("_row",)
 
     def __init__(self, entries=None):
         self._row = _dense(entries)
+
+    @staticmethod
+    def _trim(row: tuple) -> tuple:
+        """``row`` with its trailing zeros dropped."""
+        end = len(row)
+        while end and not row[end - 1]:
+            end -= 1
+        return row[:end]
+
+    def get(self, pos: int) -> int:
+        row = self._row
+        return row[pos - 1] if 0 < pos <= len(row) else 0
+
+    def items(self):
+        """(position, entry) of the nonzero entries, by position."""
+        return compress(enumerate(self._row, 1), self._row)
+
+    def positions(self):
+        return compress(range(1, len(self._row) + 1), self._row)
+
+    def max_pos(self) -> int:
+        return len(self._row)
+
+
+class ZVector(DenseRow):
+    """Immutable integer vector, stored as its dense row.  Entries may be
+    negative (the ambient space allows it); vectors reachable from zero by
+    lowering operators stay nonnegative."""
+
+    __slots__ = ()
 
     ZERO: "ZVector"
 
@@ -134,22 +157,8 @@ class ZVector:
                              "positions (the node cap, CRYSTAL_POLY_NODE_CAP)")
         return ZVector(out)
 
-    def get(self, pos: int) -> int:
-        row = self._row
-        return row[pos - 1] if 0 < pos <= len(row) else 0
-
-    def items(self):
-        """(position, entry) of the nonzero entries, by position."""
-        return compress(enumerate(self._row, 1), self._row)
-
-    def positions(self):
-        return compress(range(1, len(self._row) + 1), self._row)
-
     def size(self) -> int:
         return sum(self._row)
-
-    def max_pos(self) -> int:
-        return len(self._row)
 
     def is_zero(self) -> bool:
         return not self._row
@@ -288,8 +297,12 @@ class CrystalOps:
         return x.with_delta(pos, -1)
 
 
-# array type codes by item size: one lane of a packed field is one item
-_LANE_CODES = {array(code).itemsize: code for code in "BHILQ"}
+def _lane_width(top: int) -> tuple[int, str]:
+    """The one lane rule of the packed searches: the fewest bytes, 1, 2, 4 or
+    8, whose unsigned lanes hold ``0..top`` (below ``2**64``), and the array
+    type code whose item is one such lane."""
+    width = next(w for w in (1, 2, 4, 8) if top < 1 << 8 * w)
+    return width, next(code for code in "BHILQ" if array(code).itemsize == width)
 
 
 def _pack(values, code: str) -> int:
@@ -329,8 +342,8 @@ class SignatureLanes:
     reached (d lowerings at one color-k position, or at one color-c position
     with ``a(k, c) = -2``), and with ``bias = 2 * levels`` every lane of every
     field lies in [0, 4 * levels].  ``width`` is the fewest bytes (1, 2, 4
-    or 8) whose range holds that: one byte up to 63 levels, two up to 16383.
-    Deeper searches widen the lanes; they never wrap.
+    or 8) whose range holds that (``_lane_width``): one byte up to 63 levels,
+    two up to 16383.  Deeper searches widen the lanes; they never wrap.
 
     Lowering from level d < levels acts at a color-k position inside the row
     or at the first one past it; the row ends by position d * n, so that is
@@ -350,10 +363,7 @@ class SignatureLanes:
     def __init__(self, ops: CrystalOps, levels: int):
         ctx = ops.ctx
         self.ops, self.levels = ops, levels
-        self.width = 1
-        while 4 * levels >= 256 ** self.width:
-            self.width *= 2
-        self.code = _LANE_CODES[self.width]
+        self.width, self.code = _lane_width(4 * levels)
         self.bias = 2 * levels
         origin = self.pack(())
         self.steps = {k: [tuple(map(sub, self.pack((0,) * (p - 1) + (1,)), origin))

@@ -17,18 +17,14 @@ from itertools import accumulate, chain, compress
 from operator import add, mul, neg
 
 from .cartan import Context, node_cap
-from .crystal import ZVector, _dense
+from .crystal import DenseRow, ZVector, _dense
 
 
-class LinearForm:
-    """Immutable exact-integer affine form on sparse vectors.
+class LinearForm(DenseRow):
+    """Immutable exact-integer affine form on sparse vectors: the constant
+    and the coefficients, a dense row like a vector's (see ``DenseRow``)."""
 
-    Stored like ``ZVector``: the constant and the dense row, the tuple of
-    coefficients at positions 1..max_pos(), whose last entry is nonzero, so
-    that equal forms have equal rows.
-    """
-
-    __slots__ = ("constant", "_row", "_h")
+    __slots__ = ("constant", "_h")
 
     def __init__(self, constant: int = 0, terms=None):
         self.constant = int(constant)
@@ -47,21 +43,6 @@ class LinearForm:
         res._h = hash((constant, row))
         return res
 
-    @property
-    def terms(self) -> tuple[tuple[int, int], ...]:
-        """(position, coefficient) of the nonzero coefficients, by position."""
-        return tuple(compress(enumerate(self._row, 1), self._row))
-
-    def coeff(self, pos: int) -> int:
-        row = self._row
-        return row[pos - 1] if 0 < pos <= len(row) else 0
-
-    def positions(self):
-        return list(compress(range(1, len(self._row) + 1), self._row))
-
-    def max_pos(self) -> int:
-        return len(self._row)
-
     def evaluate(self, x: ZVector) -> int:
         # both rows are zero past their ends, so map stops at the shorter one
         return self.constant + sum(map(mul, self._row, x._row))
@@ -71,11 +52,8 @@ class LinearForm:
         a, b = self._row, other._row
         if len(a) < len(b):
             a, b = b, a
-        row = (*map(add, a, b), *a[len(b):])
-        end = len(row)
-        while end and not row[end - 1]:
-            end -= 1
-        return LinearForm._make(self.constant + other.constant, row[:end])
+        return LinearForm._make(self.constant + other.constant,
+                                self._trim((*map(add, a, b), *a[len(b):])))
 
     def __sub__(self, other: "LinearForm") -> "LinearForm":
         return self + -other
@@ -85,7 +63,7 @@ class LinearForm:
 
     def shift_periods(self, period: int, delta: int) -> "LinearForm":
         """Translate every position by ``delta`` word periods."""
-        return LinearForm(self.constant, {p + delta * period: c for p, c in self.terms})
+        return LinearForm(self.constant, {p + delta * period: c for p, c in self.items()})
 
     def sort_key(self):
         """Deterministic order: max position, then coefficient string, constant."""
@@ -93,7 +71,7 @@ class LinearForm:
 
     def render(self, ctx: Context) -> str:
         bits = [("- " if c < 0 else "+ ") + ("" if abs(c) == 1 else f"{abs(c)}*")
-                + "x[%d,%d]" % ctx.sk_of(p) for p, c in self.terms]
+                + "x[%d,%d]" % ctx.sk_of(p) for p, c in self.items()]
         if self.constant or not bits:
             bits.append(("- " if self.constant < 0 else "+ ") + str(abs(self.constant)))
         text = " ".join(bits)  # the first sign loses its space, a leading "+" goes
@@ -104,7 +82,7 @@ class LinearForm:
             "constant": self.constant,
             "terms": [
                 {"s": ctx.occurrence_of(p), "k": ctx.color_of(p), "coeff": c}
-                for p, c in self.terms
+                for p, c in self.items()
             ],
         }
 
@@ -119,7 +97,7 @@ class LinearForm:
         return self._h
 
     def __repr__(self):
-        inside = " ".join(f"{c:+d}*x{p}" for p, c in self.terms)
+        inside = " ".join(f"{c:+d}*x{p}" for p, c in self.items())
         return f"LinearForm({self.constant} {inside})".rstrip()
 
 
@@ -200,7 +178,7 @@ def rewrite(ctx: Context, lam: dict[int, int] | None, form: LinearForm,
             pos: int) -> LinearForm:
     """One boundary-aware rewriting step at ``pos`` (highest-weight flavor);
     ``lam=None`` gives the plain step."""
-    c = form.coeff(pos)
+    c = form.get(pos)
     d = _delta(ctx, lam)(pos, c > 0) if c else None
     return form if d is None else form + d
 
@@ -212,6 +190,8 @@ _BIAS = 128  # a coefficient c is stored as the byte c + _BIAS
 _SPAN = 63  # the coefficients of an expanded row and of a step: |c| <= _SPAN
 # the packed seed rows a plain closure may start from: seeds x width bytes at most
 _SEED_BYTES = 1 << 24
+# the packed rows any closure may keep: rows x width bytes at most
+_ROW_BYTES = 1 << 26
 _OUT = 3
 # class of a coefficient byte: 0 zero, 1 positive, 2 negative, _OUT past +-_SPAN
 _CLASSES = bytes(0 if v == _BIAS else _OUT if abs(v - _BIAS) > _SPAN else
@@ -357,12 +337,20 @@ def _close(seeds, delta, bound: int) -> ClosureResult:
 
     A step form reaching past ``width`` counts as pruned and builds
     nothing, so no row ever leaves the width.  Once ``node_cap()`` forms are
-    kept the search stops, unconverged.  The kept rows are the result's,
-    undecoded (see ``ClosureResult``).
+    kept the search stops, unconverged.  No more rows are kept than
+    ``_ROW_BYTES`` holds at ``width`` bytes each: one more raises
+    ``RuntimeError`` naming the width, the rows and the limit (before the
+    step table is built when the seeds alone pass it), not an unconverged
+    result.  The kept rows are the result's, undecoded (see ``ClosureResult``).
     """
-    cap = node_cap()
     start = set(seeds)
     width = max([bound] + [f.max_pos() for f in start])
+    cap, rows = node_cap(), _ROW_BYTES // max(width, 1)
+    over = (f"closure at width {width} needs more than {rows} rows of {width} bytes, "
+            f"over the limit of {_ROW_BYTES} bytes")
+    if len(start) > rows:
+        raise RuntimeError(over)
+    keep = min(cap, rows)
     shift = 8 * width  # the constant's offset
     mask = (1 << shift) - 1  # the coefficient bytes
     zero = _zero_row(width)
@@ -402,7 +390,9 @@ def _close(seeds, delta, bound: int) -> ClosureResult:
             new = row + step
             if new in seen:
                 continue
-            if len(seen) >= cap:
+            if len(seen) >= keep:
+                if keep < cap:
+                    raise RuntimeError(over)
                 converged = False
                 queue.clear()
                 break
@@ -539,7 +529,7 @@ def first_violation_positivity(ctx: Context, forms) -> tuple[LinearForm, int] | 
     if not violated:
         return None
     form = min(violated, key=LinearForm.sort_key)
-    return form, next(p for p in range(1, period + 1) if form.coeff(p) < 0)
+    return form, next(p for p in range(1, period + 1) if form.get(p) < 0)
 
 
 def check_positivity(ctx: Context, forms) -> bool:

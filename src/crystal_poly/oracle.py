@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import time
 from itertools import chain
-from struct import pack
 
 from .cartan import Context, node_cap
-from .crystal import CrystalOps, SignatureLanes, ZVector
+from .crystal import CrystalOps, SignatureLanes, ZVector, _lane_width, _pack
 from .inequalities import membership_family, node_cap_error
 
 # Most candidates the cross-check may scan: the size of its box, which the sweep
@@ -178,13 +177,14 @@ def _candidate_matrix(support: int, total: int, *, matrix) -> list[tuple[int, ..
     bound = most * total
     if bound >= 1 << 62:
         raise ValueError(f"crosscheck row values reach {bound}, past the lane limit of 2**62 - 1")
-    lane, code = next((w, c) for w, c in zip((1, 2, 4, 8), "bhiq")
-                      if 2 * bound < 1 << 8 * w - 1)
+    # a row's value lies in -2 * bound - 1..2 * bound: half a lane must pass 2 * bound
+    lane, code = _lane_width(4 * bound)
+    half = 1 << 8 * lane - 1
     if consts and (min(consts) < -bound - 1 or max(consts) > bound):
         consts = [min(max(c, -bound - 1), bound) for c in consts]
+    acc = _pack([c + half for c in consts], code)
     ones = int.from_bytes(b"\1".ljust(lane, b"\0") * n, "little")
-    top = (1 << 8 * lane - 1) * ones
-    acc = int.from_bytes(pack(f"<{n}{code}", *consts), "little") ^ top
+    top = half * ones
     # below[j]: the top bits of the lanes of the rows before group j
     below = [top & (1 << 8 * lane * s) - 1 for s in starts]
     if acc & below[1] != below[1]:

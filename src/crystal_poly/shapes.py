@@ -137,16 +137,19 @@ class RevisedEYD(_Shape):
     both point lists apply it and nothing else.
     """
 
-    __slots__ = ("charge", "devs")
+    __slots__ = ("charge", "devs", "_at")
 
     def __init__(self, charge: int, devs=()):
-        if isinstance(devs, dict):
-            devs = devs.items()
         self.charge = charge
-        self.devs = tuple(sorted((int(t), int(y)) for t, y in devs))
-        for t, y in self.devs:
+        self._at = {}  # devs indexed by entry
+        for t, y in devs.items() if isinstance(devs, dict) else devs:
+            t, y = int(t), int(y)
+            if t in self._at:
+                raise ValueError(f"entry at {t} is given twice")
             if y >= self.ground(t):
                 raise ValueError(f"entry at {t} is not below the ground profile")
+            self._at[t] = y
+        self.devs = tuple(sorted(self._at.items()))
 
     def _key(self):
         return self.charge, self.devs
@@ -155,10 +158,7 @@ class RevisedEYD(_Shape):
         return self.charge + min(t, 0)
 
     def y(self, t: int) -> int:
-        for u, v in self.devs:
-            if u == t:
-                return v
-        return self.ground(t)
+        return self._at[t] if t in self._at else self.ground(t)
 
     def boxes(self) -> int:
         return sum(self.ground(t) - v for t, v in self.devs)
@@ -217,7 +217,7 @@ class RevisedEYD(_Shape):
         return self._low(ctx, j if (j > 0) != restored else j - 1)
 
     def _with(self, t: int, v: int) -> "RevisedEYD":
-        devs = {u: w for u, w in self.devs}
+        devs = dict(self._at)
         if v == self.ground(t):
             devs.pop(t, None)
         else:

@@ -181,6 +181,27 @@ def test_huge_seed_set_exits_2_before_a_seed_is_built(tmp_path, capsys, argv, bo
     assert elapsed < 1
 
 
+@pytest.mark.parametrize("mode", ["sprime", "shat"])
+def test_wide_single_seed_closure_exits_2_within_its_byte_limit(tmp_path, mode):
+    """One seed at width 1000001 passes the seed limit; its closure is
+    refused at 67 rows of 1000001 bytes, well inside a 1.5 GB address space."""
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000 * 1024,) * 2)
+
+    cfg = write_cfg(tmp_path, lam={1: 1})
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "crystal_poly", "--config", cfg, "gen-ineq", "--mode", mode,
+         "--k", "1", "--window", "1000001"],
+        capture_output=True, text=True, preexec_fn=limit_memory, timeout=60)
+    assert time.perf_counter() - t0 < 10
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: closure at width 1000001 needs more than 67 rows of "
+                           "1000001 bytes, over the limit of 67108864 bytes\n")
+
+
 @pytest.mark.parametrize(
     "lam, member_rc, counts",
     [({}, 0, [1, 3, 9]), ({"lambda": None}, 0, [1, 3, 9]), ({"lambda": {}}, 1, [1, 0, 0])],

@@ -57,9 +57,9 @@ from util import (
 
 def test_form_normalization():
     f = LinearForm(3, {2: 1, 5: 0, 1: -2})
-    assert f.terms == ((1, -2), (2, 1))
-    assert f.coeff(5) == 0
-    assert f.positions() == [1, 2]
+    assert tuple(f.items()) == ((1, -2), (2, 1))
+    assert f.get(5) == 0
+    assert list(f.positions()) == [1, 2]
     assert f.max_pos() == 2
     with pytest.raises(ValueError):
         LinearForm(0, {0: 1})
@@ -74,8 +74,8 @@ def _random_form(rng, positions=9):
 def _dict_sum(a, b, sign=1):
     """Reference sum: add coefficients in a dict and rebuild with the checked
     public constructor."""
-    t = dict(a.terms)
-    for p, c in b.terms:
+    t = dict(a.items())
+    for p, c in b.items():
         t[p] = t.get(p, 0) + sign * c
     return LinearForm(a.constant + sign * b.constant, t)
 
@@ -83,14 +83,14 @@ def _dict_sum(a, b, sign=1):
 def _check_dense_reads(rng, f):
     """The dense row reads like the form's terms: coefficients, evaluation,
     the terms round trip and the hand-built sort key of sparse forms."""
-    terms = dict(f.terms)
+    terms = dict(f.items())
     again = LinearForm(f.constant, terms)
-    assert again == f and hash(again) == hash(f) and again.terms == f.terms
+    assert again == f and hash(again) == hash(f) and [*again.items()] == [*f.items()]
     assert list(terms) == sorted(terms) and all(terms.values())
     m = f.max_pos()
     assert m == max(terms, default=0)
-    assert f.coeff(0) == 0 and f.coeff(m + 1) == 0 and f.coeff(m + 7) == 0
-    assert [f.coeff(p) for p in range(1, m + 1)] == [terms.get(p, 0) for p in range(1, m + 1)]
+    assert f.get(0) == 0 and f.get(m + 1) == 0 and f.get(m + 7) == 0
+    assert [f.get(p) for p in range(1, m + 1)] == [terms.get(p, 0) for p in range(1, m + 1)]
     assert f.sort_key() == (m, tuple(terms.get(p, 0) for p in range(1, m + 1)), f.constant)
     for size in (0, m // 2, m, m + 4):  # vectors shorter than, as long as, longer than f
         x = ZVector.from_list([rng.randrange(-2, 4) for _ in range(size)])
@@ -102,17 +102,17 @@ def test_add_matches_dict_sum():
     for _ in range(300):
         f, g = _random_form(rng), _random_form(rng)
         _check_dense_reads(rng, f)
-        neg = LinearForm(-f.constant, {p: -c for p, c in f.terms})
-        assert -f == neg and hash(-f) == hash(neg) and (-f).terms == neg.terms
+        neg = LinearForm(-f.constant, {p: -c for p, c in f.items()})
+        assert -f == neg and hash(-f) == hash(neg) and [*(-f).items()] == [*neg.items()]
         cases = [(f, g), (f, -f), (g, -g)]
-        if f.terms:  # cancel the last position only: max_pos drops
-            top, c = f.terms[-1]
+        if f.max_pos():  # cancel the last position only: max_pos drops
+            top, c = [*f.items()][-1]
             cases.append((f, LinearForm(1, {top: -c, 1: 1})))
         for a, b in cases:
             for got, want in ((a + b, _dict_sum(a, b)), (a - b, _dict_sum(a, b, -1))):
                 assert got == want
                 assert hash(got) == hash(want)
-                assert got.terms == want.terms
+                assert [*got.items()] == [*want.items()]
                 _check_dense_reads(rng, got)
     assert LinearForm(2, {3: 1, 5: -2}) + LinearForm(-2, {3: -1, 5: 2}) == LinearForm.ZERO
     f = LinearForm(0, {2: 1, 7: 4})
@@ -456,6 +456,37 @@ def test_node_cap_stops_generation(monkeypatch):
     assert not limit_inequalities(ctx, 6 + 2 * ctx.period).converged
 
 
+def test_close_keeps_no_more_rows_than_the_byte_limit(monkeypatch):
+    """``_close`` keeps at most ``min(node_cap(), _ROW_BYTES // width)``
+    rows.  Past the byte part it raises, naming the width, the rows and the
+    limit; the node cap, where it binds, still gives an unconverged result."""
+    ctx = make_context("A1")
+    seeds, step = [variable(p) for p in range(1, 13)], _delta(ctx, None)
+    full = _close(seeds, step, 12)
+    rows = len(full)
+    assert full.converged and rows == 365
+    monkeypatch.setattr(inequalities, "_ROW_BYTES", 12 * rows)  # room for every row
+    again = _close(seeds, step, 12)
+    assert again.converged and again.rows == full.rows
+    monkeypatch.setattr(inequalities, "_ROW_BYTES", 12 * rows - 1)
+    with pytest.raises(RuntimeError) as exc:
+        _close(seeds, step, 12)
+    assert str(exc.value) == (f"closure at width 12 needs more than {rows - 1} rows of 12 "
+                              f"bytes, over the limit of {12 * rows - 1} bytes")
+    for cap in (rows - 1, rows - 2):  # the cap binds at or below the byte part
+        monkeypatch.setenv("CRYSTAL_POLY_NODE_CAP", str(cap))
+        capped = _close(seeds, step, 12)
+        assert not capped.converged and len(capped) == cap
+
+    def no_step(pos, positive):
+        raise AssertionError("a step was built")
+
+    # seeds past the byte part are refused before any step
+    monkeypatch.setattr(inequalities, "_ROW_BYTES", 12 * 2)
+    with pytest.raises(RuntimeError, match="needs more than 2 rows of 12 bytes"):
+        _close([variable(p) for p in (1, 2, 3)], no_step, 12)
+
+
 def _count_close_calls(monkeypatch):
     """Empty the plain-closure cache and count the ``_close`` calls made."""
     monkeypatch.setattr(inequalities, "_PLAIN_CACHE", {})
@@ -555,7 +586,7 @@ def _negative_rows(res, support: int) -> list[dict]:
     negative, each with its smallest constant, grouped by last active column."""
     groups = [{} for _ in range(support + 1)]
     for f in res.forms:
-        vec = tuple(f.coeff(p) for p in range(1, support + 1))
+        vec = tuple(f.get(p) for p in range(1, support + 1))
         if f.constant < 0 or min(vec, default=0) < 0:
             group = groups[max((p for p, c in enumerate(vec, 1) if c), default=0)]
             group[vec] = min(f.constant, group.get(vec, f.constant))

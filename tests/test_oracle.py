@@ -4,6 +4,7 @@ import itertools
 import random
 import sys
 import time
+from array import array
 from collections import Counter
 from math import comb
 
@@ -22,7 +23,7 @@ from crystal_poly import (
     reaches_origin,
 )
 from crystal_poly import oracle
-from crystal_poly.crystal import SignatureLanes
+from crystal_poly.crystal import SignatureLanes, _lane_width
 from crystal_poly.inequalities import ClosureResult, epsilon_star_forms
 from crystal_poly.oracle import (
     MAX_CANDIDATES,
@@ -427,16 +428,16 @@ def test_pruned_sweep_equals_the_block_sweep(monkeypatch):
 
 
 def _lane_codes(monkeypatch) -> list[str]:
-    """The struct codes of the lanes the sweep packs its constants into, one
-    per call: b, h, i, q for 1, 2, 4, 8 bytes."""
+    """The widths of the lanes the sweep packs its constants into, one per
+    call, as b, h, i, q for 1, 2, 4, 8 bytes."""
     codes = []
-    pack = oracle.pack
+    pack = oracle._pack
 
-    def spy(fmt, *values):
-        codes.append(fmt[-1])
-        return pack(fmt, *values)
+    def spy(values, code):
+        codes.append("bh?i???q"[array(code).itemsize - 1])
+        return pack(values, code)
 
-    monkeypatch.setattr(oracle, "pack", spy)
+    monkeypatch.setattr(oracle, "_pack", spy)
     return codes
 
 
@@ -492,6 +493,32 @@ def test_sweep_with_eight_byte_lanes(monkeypatch):
         assert got == sorted(reference_feasible(matrix[0], matrix[1], 1, 8))
         assert len(got) == feasible
     assert codes == ["q"] * 3
+
+
+def test_bfs_and_sweep_pick_lanes_by_one_rule(monkeypatch):
+    """On both sides of each lane boundary the rule, the operator BFS and the
+    sweep pick one width: the fewest of 1, 2, 4 or 8 bytes whose lanes hold
+    0..top, with top = 4 * levels for the BFS and 4 * bound for the sweep."""
+    tops = (255, 256, 65535, 65536, 2**32 - 1, 2**32, 2**64 - 1)
+    assert [_lane_width(top)[0] for top in tops] == [1, 2, 2, 4, 4, 8, 8]
+    assert all(array(_lane_width(top)[1]).itemsize == _lane_width(top)[0] for top in tops)
+    # the BFS at 63 and 64 levels (its wider boundaries take a step per level
+    # and position to build)
+    ops = CrystalOps(Context("A1", 2, (1, 2)), None)
+    for levels, width in ((63, 1), (64, 2)):
+        layout = SignatureLanes(ops, levels)
+        assert (layout.width, layout.code) == _lane_width(4 * levels) and layout.width == width
+    # the sweep: bound is total times the coefficient, or times 128 when a
+    # coefficient passes 63 // total; a row with a negative constant makes
+    # it return right after packing its constants
+    codes = _lane_codes(monkeypatch)
+    for total, coeff, width in ((1, 63, 1), (1, 64, 2), (127, 1, 2), (128, 1, 4),
+                                (2**23 - 1, 1, 4), (2**23, 1, 8)):
+        bound = (coeff if coeff <= 63 // total else 128) * total
+        assert _lane_width(4 * bound)[0] == width
+        matrix = compile_forms([LinearForm(-1), LinearForm(0, {1: -coeff})], 1)
+        assert _candidate_matrix(1, total, matrix=matrix) == []
+        assert codes.pop() == "bh?i???q"[width - 1], (total, coeff)
 
 
 def test_sweep_at_support_zero_and_depth_zero():

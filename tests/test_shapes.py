@@ -14,6 +14,7 @@ from crystal_poly import (
     LinearForm,
     RevisedEYD,
     YoungWall,
+    ZVector,
     comb_lambda,
     enumerate_shapes,
     eyd_form,
@@ -21,7 +22,7 @@ from crystal_poly import (
     reyd_form,
     wall_form,
 )
-from crystal_poly import inequalities, shapes
+from crystal_poly import inequalities, oracle, shapes
 from crystal_poly.shapes import (
     comb_infinity,
     comb_lambda_case,
@@ -542,6 +543,16 @@ def test_reyd_rejects_an_entry_above_ground():
     assert RevisedEYD(3, {-2: 0}).boxes() == 1
 
 
+def test_reyd_refuses_an_entry_given_twice():
+    for devs in ([(0, 1), (0, 0)], [(-1, 0), (1, 1), (-1, 0)]):
+        with pytest.raises(ValueError, match="given twice"):
+            RevisedEYD(2, devs)
+    # pairs and a dict build one shape, whose profile reads its entries
+    shape = RevisedEYD(2, [(1, 0), (0, 1)])
+    assert shape == RevisedEYD(2, {0: 1, 1: 0}) and shape.devs == ((0, 1), (1, 0))
+    assert [shape.y(t) for t in range(-2, 3)] == [0, 1, 1, 0, 2] and shape.boxes() == 3
+
+
 def test_wall_refuses_negative_columns():
     ctx = make_context("A2")
     assert YoungWall(1, (3,)).add(ctx, -1) is None
@@ -579,3 +590,12 @@ def test_generators_share_only_the_common_types():
     # Context, LinearForm and ZVector, so each can check the other
     assert _imported_names(shapes)["inequalities"] == {"LinearForm"}
     assert not {"shapes", "oracle"} & set(_imported_names(inequalities))
+
+
+def test_storage_rules_are_stated_once():
+    # vectors and forms read their dense rows through one base; the operator
+    # BFS and the cross-check sweep pack their lanes by one rule
+    for cls in (LinearForm, ZVector):
+        assert not {"get", "items", "positions", "max_pos"} & set(vars(cls)), cls
+    assert _imported_names(inequalities)["crystal"] == {"DenseRow", "ZVector", "_dense"}
+    assert "struct" not in _imported_names(oracle)

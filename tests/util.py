@@ -243,7 +243,7 @@ def with_undo_moves(children):
 
 
 def _reference_plain_rewrite(ctx: Context, coupling, form: LinearForm, pos: int) -> LinearForm:
-    c = form.coeff(pos)
+    c = form.get(pos)
     if c == 0:
         return form
     s, k = ctx.sk_of(pos)
@@ -255,7 +255,7 @@ def _reference_plain_rewrite(ctx: Context, coupling, form: LinearForm, pos: int)
 
 
 def _reference_rewrite(ctx: Context, coupling, lam, form: LinearForm, pos: int) -> LinearForm:
-    c = form.coeff(pos)
+    c = form.get(pos)
     if c == 0:
         return form
     s, k = ctx.sk_of(pos)
@@ -323,7 +323,7 @@ def reference_compile_matrix(forms, support: int):
     rows = {}
     for f in forms:
         vec = [0] * support
-        for p, c in f.terms:
+        for p, c in f.items():
             if p <= support:
                 vec[p - 1] = c
         if f.constant >= 0 and all(c >= 0 for c in vec):
@@ -367,7 +367,7 @@ def packed_closure(forms) -> ClosureResult:
     forms = set(forms)
     width = max([0] + [f.max_pos() for f in forms])
     rows = {(f.constant << 8 * width)
-            + sum((f.coeff(p) + 128) << 8 * (p - 1) for p in range(1, width + 1))
+            + sum((f.get(p) + 128) << 8 * (p - 1) for p in range(1, width + 1))
             for f in forms}
     return ClosureResult(rows, width, True, 0)
 
@@ -728,7 +728,7 @@ def run_rewrite_relation_checks(ctx: Context, lam: dict, rounds: int, seed: int)
         for pos in f.positions():
             s, k = ctx.sk_of(pos)
             got = rewrite(ctx, lam, f, pos)
-            if f.coeff(pos) < 0 and s == 1:
+            if f.get(pos) < 0 and s == 1:
                 want = f - weight_seed(ctx, lam, k)
             else:
                 want = rewrite(ctx, None, f - LinearForm(const), pos) + LinearForm(const)
