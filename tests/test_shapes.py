@@ -511,6 +511,33 @@ def test_shape_moves_match_golden_digest():
     assert h.hexdigest() == MOVE_DIGEST
 
 
+# sha256 over every shape of the full BFS at offsets 0 and 1 and bound 4 + 2n,
+# for every color of the acceptance grid: each shape's form, and for a
+# diagram also its corners, additions, removals and children.  Recorded
+# before the per-shape work became one pass over the profile; a refactor
+# keeps it.
+FORM_DIGEST = "8efcba74c372c7eba20beedecf60972e7af7ecc710f6c4620f6642257d1ed898"
+FORM_DIGEST_SHAPES = 40096
+
+
+def test_shape_forms_match_golden_digest():
+    h = hashlib.sha256()
+    count = 0
+    for fam, word in GRID8:
+        ctx = Context(fam, 3, word)
+        for k in ctx.colors():
+            for s in (0, 1):
+                for shape in sorted(full_shape_bfs(ctx, k, s, 4 + 2 * ctx.n), key=repr):
+                    record = (s, shape, shape_form(ctx, k, shape, s))
+                    if isinstance(shape, ExtendedYoungDiagram):
+                        record += (shape.corners(), shape.additions(), shape.removals(),
+                                   shape_children(ctx, shape))
+                    h.update(repr(record).encode())
+                    count += 1
+    assert count == FORM_DIGEST_SHAPES
+    assert h.hexdigest() == FORM_DIGEST
+
+
 # the rank-3 grid and three rank-4 words of each twisted machinery
 SCAN_CONTEXTS = [(fam, 3, word) for fam, word in GRID8] + [
     (fam, 4, word) for fam in ("A2", "C1")
