@@ -63,7 +63,10 @@ class LinearForm(DenseRow):
 
     def shift_periods(self, period: int, delta: int) -> "LinearForm":
         """Translate every position by ``delta`` word periods."""
-        return LinearForm(self.constant, {p + delta * period: c for p, c in self.items()})
+        shift, row = delta * period, self._row
+        if shift < 0:  # checked: positions start at 1
+            return LinearForm(self.constant, {p + shift: c for p, c in self.items()})
+        return LinearForm._make(self.constant, (0,) * shift + row if row else row)
 
     def sort_key(self):
         """Deterministic order: max position, then coefficient string, constant."""
@@ -325,7 +328,8 @@ def _close(seeds, delta, bound: int) -> ClosureResult:
     step's form depends only on (position, sign), so each is packed once per
     call, when first needed, with unbiased coefficients; a step is then one
     integer addition.  Translating a row's bytes through ``_CLASSES`` gives
-    its nonzero positions and their signs.
+    its nonzero positions and their signs; the table of steps grows to the
+    last nonzero position any row has, not to the width.
 
     No carry: the addition is exact byte by byte as long as every sum stays
     in ``0..255``.  Seeds and step forms must have coefficients within
@@ -340,7 +344,7 @@ def _close(seeds, delta, bound: int) -> ClosureResult:
     kept the search stops, unconverged.  No more rows are kept than
     ``_ROW_BYTES`` holds at ``width`` bytes each: one more raises
     ``RuntimeError`` naming the width, the rows and the limit (before the
-    step table is built when the seeds alone pass it), not an unconverged
+    search starts when the seeds alone pass it), not an unconverged
     result.  The kept rows are the result's, undecoded (see ``ClosureResult``).
     """
     start = set(seeds)
@@ -365,18 +369,19 @@ def _close(seeds, delta, bound: int) -> ClosureResult:
 
     past = ()  # a step form reaching past width: falsy like "no move", but pruned
     unset = object()
-    # per position: [position, step for a positive, step for a negative coefficient]
-    slots = [[p, unset, unset] for p in range(1, width + 1)]
+    slots = []  # per position a row reached: [position, step if positive, if negative]
     queue = deque(zero + pack(f) for f in start)
     seen = set(queue)
     pruned = 0
     converged = True
     while queue:
         row = queue.popleft()
-        classes = (row & mask).to_bytes(width, "little").translate(_CLASSES)
+        classes = (row & mask).to_bytes(width, "little").translate(_CLASSES).rstrip(b"\0")
         if _OUT in classes:
             i = classes.index(_OUT)
             raise _span_error(((row >> 8 * i) & 255) - _BIAS, i + 1)
+        if len(classes) > len(slots):
+            slots += [[p, unset, unset] for p in range(len(slots) + 1, len(classes) + 1)]
         for slot, sign in compress(zip(slots, classes), classes):
             step = slot[sign]
             if step is unset:

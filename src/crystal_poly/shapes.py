@@ -19,31 +19,35 @@ of first occurrences in the word.
 from __future__ import annotations
 
 from collections import deque
+from functools import cache
 
 from .cartan import Context, node_cap
 from .inequalities import LinearForm
 
 
-def _form(ctx: Context, points) -> LinearForm:
-    """The form with ``coeff`` at the ``idx``-th occurrence of ``color`` for each
-    ``(idx, color, coeff)`` point, coefficients at one position summed.
-
-    A point at occurrence index below 1 lies in the hidden region, before the
-    word starts, and contributes no term.
-    """
-    terms: dict[int, int] = {}
-    for idx, color, coeff in points:
-        if idx >= 1:
-            pos = ctx.pos_of(idx, color)
-            terms[pos] = terms.get(pos, 0) + coeff
-    return LinearForm(0, terms)
+def _form(terms) -> LinearForm:
+    """The form with the summed coefficients of its ``(position, coeff)`` terms;
+    a term below position 1 lies in the hidden region, before the word starts."""
+    row = [0] * max(terms)[0] if terms else []
+    for p, c in terms:
+        if p > 0:
+            row[p - 1] += c
+    while row and not row[-1]:
+        row.pop()
+    return LinearForm._make(0, tuple(row))
 
 
 class _Shape:
     """Equality shared by the shape classes: two shapes are equal when they are
-    of one class, with one charge and one stored profile (:meth:`_key`)."""
+    of one class, with one charge and one stored profile (:meth:`_key`).  One
+    pass over the profile, ``_pass(ctx)``, gives the (entering, leaving) points
+    as (index, level, form coeff); ``_grown(point)`` enters a box at one."""
 
     __slots__ = ()
+
+    def _key(self):
+        """The charge and the stored profile: ``ys``, ``devs`` or ``cols``."""
+        return self.charge, getattr(self, self.__slots__[1])
 
     def __eq__(self, other):
         return type(self) is type(other) and self._key() == other._key()
@@ -62,6 +66,7 @@ class ExtendedYoungDiagram(_Shape):
     explicitly and the constant tail implied."""
 
     __slots__ = ("charge", "ys")
+    kind = "eyd"
 
     def __init__(self, charge: int, ys=()):
         ys = tuple(int(v) for v in ys)
@@ -74,52 +79,45 @@ class ExtendedYoungDiagram(_Shape):
         self.charge = charge
         self.ys = ys
 
-    def _key(self):
-        return self.charge, self.ys
-
     def y(self, r: int) -> int:
         return self.ys[r] if r < len(self.ys) else self.charge
 
     def boxes(self) -> int:
         return sum(self.charge - v for v in self.ys)
 
-    def corners(self):
-        """(concave, convex) corner lists as (i, level) pairs: the one move
-        rule.  A box enters at each concave corner (i, j), taking column i to
-        level j - 1, and leaves at column i - 1 of each convex corner (i, j),
-        taking that column to level j + 1."""
-        concave = [(0, self.y(0))]
-        convex = []
-        for r in range(len(self.ys)):
-            if self.y(r) < self.y(r + 1):
-                convex.append((r + 1, self.y(r)))
-                concave.append((r + 1, self.y(r + 1)))
+    def _pass(self, ctx=None):
+        """(concave, convex) corners as (i, level, +-1), the one move rule: a box
+        enters at each concave corner (i, j), taking column i to level j - 1,
+        and leaves column i - 1 of each convex one, taking it to level j + 1."""
+        ys, charge = self.ys, self.charge
+        concave, convex = [(0, ys[0] if ys else charge, 1)], []
+        for i, (a, b) in enumerate(zip(ys, ys[1:] + (charge,)), 1):
+            if a < b:  # a step up: one corner of each kind
+                convex.append((i, a, -1))
+                concave.append((i, b, 1))
         return concave, convex
 
-    def _with(self, i: int, v: int) -> "ExtendedYoungDiagram":
-        return ExtendedYoungDiagram(self.charge, self.ys[:i] + (v,) + self.ys[i + 1:])
+    def corners(self):
+        """(concave, convex) corner lists as (i, level) pairs (see ``_pass``)."""
+        return tuple([(i, j) for i, j, _ in corners] for corners in self._pass())
+
+    def _grown(self, corner) -> "ExtendedYoungDiagram":
+        res, i = object.__new__(ExtendedYoungDiagram), corner[0]
+        res.charge, res.ys = self.charge, self.ys[:i] + (corner[1] - 1,) + self.ys[i + 1:]
+        return res
 
     def additions(self):
         """All single-box additions, as (column, new diagram) pairs."""
-        return [(i, self._with(i, j - 1)) for i, j in self.corners()[0]]
+        return [(p[0], self._grown(p)) for p in self._pass()[0]]
 
     def removals(self):
         """All single-box removals, as (column, new diagram) pairs."""
-        return [(i - 1, self._with(i - 1, j + 1)) for i, j in self.corners()[1]]
+        ys = self.ys
+        return [(i - 1, ExtendedYoungDiagram(self.charge, ys[:i - 1] + (j + 1,) + ys[i:]))
+                for i, j, _ in self._pass()[1]]
 
     def __repr__(self):
         return f"EYD(charge={self.charge}, ys={list(self.ys)})"
-
-
-def eyd_term_index(ctx: Context, k: int, s: int, i: int, j: int) -> tuple[int, int]:
-    """(occurrence index, color) of the form term attached to corner (i, j)."""
-    return s + ctx.shift(k, i + j) + min(k - j, i), ctx.fold(i + j)
-
-
-def eyd_form(ctx: Context, k: int, diagram: ExtendedYoungDiagram, s: int) -> LinearForm:
-    concave, convex = diagram.corners()
-    return _form(ctx, [(*eyd_term_index(ctx, k, s, i, j), sign)
-                       for sign, pts in ((1, concave), (-1, convex)) for i, j in pts])
 
 
 # --------------------------------------------------------------------------------
@@ -133,11 +131,12 @@ class RevisedEYD(_Shape):
 
     One legality rule governs every move: entry ``t`` may sit at level ``v``
     when ``v`` is at most the ground level at ``t`` and the steps to both
-    neighbours are permitted (:meth:`_fits`).  Decrements, increments and
-    both point lists apply it and nothing else.
+    neighbours are permitted (:meth:`_fits`).  The one pass applies it at
+    each entry of :meth:`_scan`; the moves and point lists read the pass.
     """
 
     __slots__ = ("charge", "devs", "_at")
+    kind = "reyd"
 
     def __init__(self, charge: int, devs=()):
         self.charge = charge
@@ -150,9 +149,6 @@ class RevisedEYD(_Shape):
                 raise ValueError(f"entry at {t} is not below the ground profile")
             self._at[t] = y
         self.devs = tuple(sorted(self._at.items()))
-
-    def _key(self):
-        return self.charge, self.devs
 
     def ground(self, t: int) -> int:
         return self.charge + min(t, 0)
@@ -171,94 +167,76 @@ class RevisedEYD(_Shape):
         flat right it steps down, on the slope left it leaves a step of two.
         So every decrement lies in ``min(lo, 0) - 1 .. max(hi, 0) + 1`` for
         the stored entries ``lo .. hi``.  An increment needs a stored entry,
-        so it lies in ``lo .. hi``, and a removable point, reported one right
-        of its increment, at most at ``hi + 1``.
+        so it lies in ``lo .. hi``.
         """
         lo, hi = (self.devs[0][0], self.devs[-1][0]) if self.devs else (0, 0)
         return range(min(lo, 0) - 1, max(hi, 0) + 2)
 
-    def _low(self, ctx: Context, t: int) -> bool:
-        """Whether ``charge + t`` is a low residue of the folded pattern: 0,
-        and n for D2."""
-        r = (self.charge + t) % ctx.fold_period
-        return r == 0 or (ctx.machinery == "D2" and r == ctx.n)
-
-    def _step_ok(self, ctx: Context, t: int, a: int, b: int) -> bool:
-        """Whether consecutive levels a = y_t, b = y_{t+1} are permitted."""
-        if not self._low(ctx, t):
-            return b == a or b == a + 1
-        if t > 0:
-            return b >= a
-        if t < 0:
-            return b <= a + 1
-        return True  # a turning residue at t=0 (only D2 charge n) is unconstrained
-
-    def _fits(self, ctx: Context, i: int, v: int) -> bool:
-        """Whether entry i may sit at level v, its neighbours unchanged."""
-        return (
-            v <= self.ground(i)
-            and self._step_ok(ctx, i - 1, self.y(i - 1), v)
-            and self._step_ok(ctx, i, v, self.y(i + 1))
-        )
-
-    def _double(self, ctx: Context, j: int, restored: bool) -> bool:
-        """Whether the point at entry j counts twice.
-
-        A lowered point (step up on its left, flat on its right) doubles at a
-        low residue for j > 0 and at an up residue (one above a low one) for
-        j < 0; a restored point (flat on its left, step up on its right) does
-        the reverse.
-        """
-        if j == 0 or ctx.fold(j + self.charge) not in ctx.specials:
+    def _fits(self, t: int, v: int, a: int, c: int, low_in: bool, low_out: bool) -> bool:
+        """Whether entry t may sit at level v between levels a = y_{t-1} and
+        c = y_{t+1}.  A step from entry u to u + 1 stays level or rises by one;
+        at a low residue ``charge + u`` (``low_in``: u = t - 1, ``low_out``:
+        u = t) it may also rise more for u > 0, fall for u < 0, either at 0."""
+        if v > (self.charge + t if t < 0 else self.charge):
             return False
-        a, b, c = self.y(j - 1), self.y(j), self.y(j + 1)
-        if not (a == b < c if restored else a < b == c):
-            return False
-        return self._low(ctx, j if (j > 0) != restored else j - 1)
+        d, e = v - a, c - v  # the steps into and out of entry t
+        return ((0 <= d <= 1 or low_in and (t == 1 or (d >= 0 if t > 1 else d <= 1)))
+                and (0 <= e <= 1 or low_out and (t == 0 or (e >= 0 if t > 0 else e <= 1))))
 
-    def _with(self, t: int, v: int) -> "RevisedEYD":
-        devs = dict(self._at)
-        if v == self.ground(t):
-            devs.pop(t, None)
-        else:
-            devs[t] = v
-        return RevisedEYD(self.charge, devs)
+    def _pass(self, ctx: Context):
+        """(decrement points, increment points) over :meth:`_scan` as (entry,
+        level before the move, +-1 or +-2); the folded pattern's low residues
+        are 0, and n for D2.  A point of a special color off entry 0 counts
+        twice: a lowered one (step up on its left, flat on its right) at a low
+        residue for t > 0, at an up residue (one above a low one) for t < 0; a
+        restored one (flat on its left, step up on its right) the reverse."""
+        charge, at, period = self.charge, self._at, ctx.fold_period
+        lows = (0, ctx.n) if ctx.machinery == "D2" else (0,)
+        plus, minus, scan = [], [], self._scan()
+        a, b = self.y(scan.start - 1), self.y(scan.start)
+        low_in = (charge + scan.start - 1) % period in lows
+        for t in scan:
+            c = at.get(t + 1, charge + t + 1 if t < -1 else charge)
+            low_out = (charge + t) % period in lows
+            if self._fits(t, b - 1, a, c, low_in, low_out):
+                double = (t and a < b == c and (low_out if t > 0 else low_in)
+                          and ctx.fold(t + charge) in ctx.specials)
+                plus.append((t, b, 2 if double else 1))
+            if t in at and self._fits(t, b + 1, a, c, low_in, low_out):
+                double = (t and a == b < c and (low_in if t > 0 else low_out)
+                          and ctx.fold(t + charge) in ctx.specials)
+                minus.append((t, b, -2 if double else -1))
+            a, b, low_in = b, c, low_out
+        return plus, minus
+
+    def _grown(self, point) -> "RevisedEYD":
+        at = dict(self._at)
+        at[point[0]] = point[1] - 1
+        res = object.__new__(RevisedEYD)
+        res.charge, res._at, res.devs = self.charge, at, tuple(sorted(at.items()))
+        return res
 
     def dec(self, ctx: Context, i: int) -> "RevisedEYD | None":
-        v = self.y(i) - 1
-        return self._with(i, v) if self._fits(ctx, i, v) else None
+        return next((self._grown(p) for p in self._pass(ctx)[0] if p[0] == i), None)
 
     def inc(self, ctx: Context, i: int) -> "RevisedEYD | None":
-        v = self.y(i) + 1
-        return self._with(i, v) if self._fits(ctx, i, v) else None
+        for t, y, _ in self._pass(ctx)[1]:
+            if t == i:  # an entry restored to the ground is no longer stored
+                rest = [(e, v) for e, v in self.devs if e != t]
+                return RevisedEYD(self.charge, rest + [(t, y + 1)] * (y + 1 < self.ground(t)))
+        return None
 
     def admissible_points(self, ctx: Context):
         """Valid decrements as (index, level, color, double) tuples."""
-        return [(i, self.y(i), ctx.fold(i + self.charge), self._double(ctx, i, False))
-                for i in self._scan() if self._fits(ctx, i, self.y(i) - 1)]
+        return [(t, y, ctx.fold(t + self.charge), c == 2) for t, y, c in self._pass(ctx)[0]]
 
     def removable_points(self, ctx: Context):
         """Valid increments at i-1, reported at index i, as (i, level, color,
         double) with level the entry being restored."""
-        return [(i, self.y(i - 1), ctx.fold(i + self.charge - 1),
-                 self._double(ctx, i - 1, True))
-                for i in self._scan() if self._fits(ctx, i - 1, self.y(i - 1) + 1)]
+        return [(t + 1, y, ctx.fold(t + self.charge), c == -2) for t, y, c in self._pass(ctx)[1]]
 
     def __repr__(self):
         return f"RevisedEYD(charge={self.charge}, devs={dict(self.devs)})"
-
-
-def reyd_adm_index(ctx: Context, k: int, s: int, i: int, level: int) -> tuple[int, int]:
-    """(occurrence index, color) of the form term of the point at entry i."""
-    return s + ctx.shift(k, i + k) + min(i, 0) + k - level, ctx.fold(i + k)
-
-
-def reyd_form(ctx: Context, k: int, shape: RevisedEYD, s: int) -> LinearForm:
-    adm = [(reyd_adm_index(ctx, k, s, i, level)[0], color, 2 if double else 1)
-           for i, level, color, double in shape.admissible_points(ctx)]
-    rem = [(reyd_adm_index(ctx, k, s, i - 1, level)[0], color, -2 if double else -1)
-           for i, level, color, double in shape.removable_points(ctx)]
-    return _form(ctx, adm + rem)
 
 
 # --------------------------------------------------------------------------------
@@ -269,14 +247,15 @@ class YoungWall(_Shape):
     """Columns of filled slot counts (>= 1 everywhere; trailing ground columns
     implied), weakly decreasing, no two full columns of equal height.
 
-    One legality rule governs every move: column ``i >= 0`` may hold ``c`` slots
-    when ``c >= 1``, ``c`` lies weakly between its neighbours, and a full
-    column is not level with a neighbour (:meth:`_fits`).  Single moves
-    change one column by one slot; a pair move fills or empties both halves
-    of a special band at once and applies the same rule at two slots.
+    One legality rule governs every move: a column may hold ``c`` slots when
+    ``c >= 1``, ``c`` lies weakly between its neighbours, and a full column
+    is not level with a neighbour (:meth:`_fits`).  Single moves change one
+    column by one slot; a pair move fills or empties both halves of a
+    special band at once and applies the same rule at two slots.
     """
 
     __slots__ = ("charge", "cols")
+    kind = "wall"
 
     def __init__(self, charge: int, cols=()):
         cols = tuple(int(c) for c in cols)
@@ -288,9 +267,6 @@ class YoungWall(_Shape):
             raise ValueError("columns must be weakly decreasing")
         self.charge = charge
         self.cols = cols
-
-    def _key(self):
-        return self.charge, self.cols
 
     def col(self, i: int) -> int:
         return self.cols[i] if i < len(self.cols) else 1
@@ -306,65 +282,52 @@ class YoungWall(_Shape):
         cols = self.cols
         return not any(a == b and self._full(ctx, a) for a, b in zip(cols, cols[1:]))
 
-    def _fits(self, ctx: Context, i: int, c: int) -> bool:
-        """Whether column i >= 0 may hold c slots, its neighbours unchanged."""
-        left = self.col(i - 1) if i > 0 else None
-        right = self.col(i + 1)
-        if i < 0 or c < 1 or c < right or (left is not None and c > left):
-            return False
-        return not (self._full(ctx, c) and c in (left, right))
+    def _fits(self, ctx: Context, left: int | None, c: int, right: int) -> bool:
+        """Whether a column may hold c slots between columns of ``left``
+        (None left of column 0) and ``right`` slots."""
+        return (c >= max(right, 1) and (left is None or c <= left)
+                and not (c in (left, right) and self._full(ctx, c)))
 
-    def _make(self, i: int, count: int) -> "YoungWall":
-        cols = list(self.cols) + [1] * (i + 1 - len(self.cols))
-        cols[i] = count
-        return YoungWall(self.charge, cols)
+    def _pass(self, ctx: Context):
+        """(slots where a block may enter, top blocks that may leave) as (column,
+        slot count, +-1 or +-2) over the stored columns and the first ground
+        one; a pair move at a special band counts once, with coeff +-2.  A block
+        leaving column i of c slots is listed at (i + 1, c - 1), where its term is read."""
+        cols, charge, plus, minus = self.cols, self.charge, [], []
+        for i, (left, c, right) in enumerate(zip((None,) + cols, cols + (1,), cols[1:] + (1, 1))):
+            if ctx.wall_slot(charge, c)[2] == 0 and self._fits(ctx, left, c + 2, right):
+                plus.append((i, c, 2))
+            elif self._fits(ctx, left, c + 1, right):
+                plus.append((i, c, 1))
+            if ctx.wall_slot(charge, c - 1)[2] == 1 and self._fits(ctx, left, c - 2, right):
+                minus.append((i + 1, c - 1, -2))
+            elif self._fits(ctx, left, c - 1, right):
+                minus.append((i + 1, c - 1, -1))
+        return plus, minus
+
+    def _grown(self, slot) -> "YoungWall":
+        res, i = object.__new__(YoungWall), slot[0]
+        res.charge, res.cols = self.charge, self.cols[:i] + (slot[1] + 1,) + self.cols[i + 1:]
+        return res
 
     def add(self, ctx: Context, i: int) -> "YoungWall | None":
-        c = self.col(i) + 1
-        return self._make(i, c) if self._fits(ctx, i, c) else None
+        return next((self._grown(p) for p in self._pass(ctx)[0] if p[0] == i), None)
 
     def remove(self, ctx: Context, i: int) -> "YoungWall | None":
-        c = self.col(i) - 1
-        return self._make(i, c) if self._fits(ctx, i, c) else None
+        return next((YoungWall(self.charge, self.cols[:i] + (c,) + self.cols[i + 1:])
+                     for j, c, _ in self._pass(ctx)[1] if j == i + 1), None)
 
     def admissible_slots(self, ctx: Context):
-        """(column, band, color, double) for each place a block may enter.
-
-        A slot where both halves of a special band fit as a pair counts once,
-        as double; otherwise a valid single addition counts as single.
-        """
-        out = []
-        for i in range(len(self.cols) + 1):
-            c = self.col(i)
-            band, color, half = ctx.wall_slot(self.charge, c)
-            if half == 0 and self._fits(ctx, i, c + 2):
-                out.append((i, band, color, True))
-            elif self._fits(ctx, i, c + 1):
-                out.append((i, band, color, False))
-        return out
+        """(column, band, color, double) for each place a block may enter."""
+        return [(i, *ctx.wall_slot(self.charge, c)[:2], d == 2) for i, c, d in self._pass(ctx)[0]]
 
     def removable_blocks(self, ctx: Context):
-        """(column, band, color, double) for each top block that may leave;
-        every stored column holds at least two slots, so each has a top block."""
-        out = []
-        for i, c in enumerate(self.cols):
-            band, color, half = ctx.wall_slot(self.charge, c - 1)
-            if half == 1 and self._fits(ctx, i, c - 2):
-                out.append((i, band, color, True))
-            elif self._fits(ctx, i, c - 1):
-                out.append((i, band, color, False))
-        return out
+        """(column, band, color, double) for each top block that may leave."""
+        return [(i - 1, *ctx.wall_slot(self.charge, c)[:2], d == -2)
+                for i, c, d in self._pass(ctx)[1]]
 
     def __repr__(self):
         return f"YoungWall(charge={self.charge}, cols={list(self.cols)})"
-
-
-def wall_form(ctx: Context, k: int, wall: YoungWall, s: int) -> LinearForm:
-    adm = [(s + ctx.wall_shift(k, band) + i, color, 2 if double else 1)
-           for i, band, color, double in wall.admissible_slots(ctx)]
-    rem = [(s + ctx.wall_shift(k, band) + i + 1, color, -2 if double else -1)
-           for i, band, color, double in wall.removable_blocks(ctx)]
-    return _form(ctx, adm + rem)
 
 
 # --------------------------------------------------------------------------------
@@ -379,7 +342,7 @@ def shape_kind(ctx: Context, k: int) -> str:
     return "wall" if k in ctx.specials else "reyd"
 
 
-_SHAPE_CLASS = {"eyd": ExtendedYoungDiagram, "reyd": RevisedEYD, "wall": YoungWall}
+_SHAPE_CLASS = {cls.kind: cls for cls in (ExtendedYoungDiagram, RevisedEYD, YoungWall)}
 
 
 def ground_shape(ctx: Context, k: int):
@@ -387,22 +350,51 @@ def ground_shape(ctx: Context, k: int):
     return _SHAPE_CLASS[shape_kind(ctx, k)](k)
 
 
+def _survey(ctx: Context, k: int, s: int, kind: str):
+    """The one pass of a ``kind`` shape of charge k at offset s, as a function:
+    shape -> (its form, its children, made as they are read).  A point's term
+    sits at occurrence ``s + shift(k, i + j) + min(k - j, i)`` of
+    ``fold(i + j)`` for a diagram's corner (i, j), ``s + shift(k, t + k) +
+    min(t, 0) + k - y`` of ``fold(t + k)`` for a revised diagram's entry t at
+    level y, and ``s + wall_shift(k, band) + i`` for a wall's slot at column
+    i.  All but the last summand depend on one pattern slot, whose position
+    a table local to the survey computes once, when first read."""
+    n = ctx.n
+
+    @cache
+    def table(t):  # the term position of pattern slot t, all but the last summand
+        if kind == "wall":
+            band, color, _ = ctx.wall_slot(k, t)
+            return n * (s - 1 + ctx.wall_shift(k, band)) + ctx.first_pos(color)
+        return n * (s - 1 + ctx.shift(k, t)) + ctx.first_pos(ctx.fold(t))
+    if kind == "eyd":
+        def place(points):
+            return [(table(i + j) + n * min(k - j, i), c) for i, j, c in points]
+    elif kind == "reyd":
+        def place(points):
+            return [(table(t + k) + n * (min(t, 0) + k - y), c) for t, y, c in points]
+    else:
+        def place(points):
+            return [(table(c) + n * i, d) for i, c, d in points]
+
+    def survey(shape):
+        plus, minus = shape._pass(ctx)
+        return _form(place(plus + minus)), map(shape._grown, plus)
+
+    return survey
+
+
 def shape_form(ctx: Context, k: int, shape, s: int) -> LinearForm:
-    if isinstance(shape, ExtendedYoungDiagram):
-        return eyd_form(ctx, k, shape, s)
-    if isinstance(shape, RevisedEYD):
-        return reyd_form(ctx, k, shape, s)
-    return wall_form(ctx, k, shape, s)
+    """The form at offset s of a shape of color k's family."""
+    return _survey(ctx, k, s, shape.kind)(shape)[0]
+
+
+eyd_form = reyd_form = wall_form = shape_form
 
 
 def shape_children(ctx: Context, shape):
-    if isinstance(shape, ExtendedYoungDiagram):
-        return [t for _, t in shape.additions()]
-    if isinstance(shape, RevisedEYD):
-        kids = (shape.dec(ctx, i) for i in shape._scan())
-    else:
-        kids = (shape.add(ctx, i) for i in range(len(shape.cols) + 1))
-    return [t for t in kids if t is not None]
+    """The shapes one box bigger: one per point where a box may enter."""
+    return list(map(shape._grown, shape._pass(ctx)[0]))
 
 
 def enumerate_shapes(ctx: Context, k: int, s: int, bound: int):
@@ -411,6 +403,8 @@ def enumerate_shapes(ctx: Context, k: int, s: int, bound: int):
     positions stay inside the bound.  Returns (frozenset of the distinct
     forms, converged flag); the ground shape's form is always among them.
     The node cap counts distinct forms.  Nothing is cached between calls.
+    One pass (``_survey``) gives each shape's form and moves; a kept shape
+    is expanded through the moves of that pass.
 
     Why pruning at the bound itself is exact.  If no move lowers the last
     position of its form, a form inside the bound is reached only through
@@ -435,15 +429,15 @@ def enumerate_shapes(ctx: Context, k: int, s: int, bound: int):
     rewriting closures by the acceptance gate.
     """
     cap = node_cap()
-    ground = ground_shape(ctx, k)
-    ground_form = shape_form(ctx, k, ground, s)
+    survey = _survey(ctx, k, s, shape_kind(ctx, k))
+    ground_form, moves = survey(ground_shape(ctx, k))
     forms = {ground_form}
-    queue = deque([(ground, ground_form.max_pos())])
+    queue = deque([(ground_form.max_pos(), moves)])
     converged = True
     while queue:
-        shape, top = queue.popleft()
-        for child in shape_children(ctx, shape):
-            form = shape_form(ctx, k, child, s)
+        top, moves = queue.popleft()
+        for child in moves:
+            form, kids = survey(child)
             last = form.max_pos()
             if last < top:
                 raise RuntimeError(f"{shape_kind(ctx, k)} move lowers the last position "
@@ -456,7 +450,7 @@ def enumerate_shapes(ctx: Context, k: int, s: int, bound: int):
                 queue.clear()
                 break
             forms.add(form)
-            queue.append((child, last))
+            queue.append((last, kids))
     return frozenset(forms), converged
 
 
@@ -475,8 +469,9 @@ def _rung(ctx: Context, k: int, hi: int, lo: int) -> LinearForm:
             hi_coeff = 2
         elif lo_color in ctx.specials:
             lo_coeff = 2
-    return _form(ctx, ((ctx.shift(k, hi), hi_color, hi_coeff),
-                       (1 + ctx.shift(k, lo), lo_color, -lo_coeff)))
+    # an occurrence index below 1 gives a position below 1
+    return _form([(ctx.pos_of(ctx.shift(k, hi), hi_color), hi_coeff),
+                  (ctx.pos_of(1 + ctx.shift(k, lo), lo_color), -lo_coeff)])
 
 
 def right_ladder(ctx: Context, k: int, r: int) -> LinearForm:
@@ -531,17 +526,17 @@ def comb_lambda(ctx: Context, lam: dict[int, int], k: int, window: int):
 
     Returns (frozenset of forms, converged flag).
     """
-    const = lam.get(k, 0)
+    lift = LinearForm(lam.get(k, 0))
     case = comb_lambda_case(ctx, k)
     if case == "singleton":
-        return frozenset({LinearForm(const, {ctx.first_pos(k): -1})}), True
+        return frozenset({lift + LinearForm(0, {ctx.first_pos(k): -1})}), True
     if case in ("left", "right"):
         fam = _ladder_family(ctx, k, window, case)
-        return frozenset(LinearForm(const) + f for f in fam), True
+        return frozenset(lift + f for f in fam), True
     forms, converged = enumerate_shapes(ctx, k, 0, window)
     # at offset 0 every point of the ground shape lies at occurrence index
     # below 1, so its form is the zero form; no other shape has that form
-    return frozenset(LinearForm(const) + f for f in forms if f != LinearForm.ZERO), converged
+    return frozenset(lift + f for f in forms if f != LinearForm.ZERO), converged
 
 
 def comb_infinity(ctx: Context, window: int):

@@ -98,7 +98,7 @@ def test_gen_ineq_node_cap_exit_code(tmp_path, capsys, monkeypatch):
 
 
 def test_gen_ineq_stops_on_a_move_that_lowers_the_last_position(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(shapes, "shape_children", with_undo_moves(shapes.shape_children))
+    monkeypatch.setattr(shapes, "_survey", with_undo_moves(shapes._survey))
     cfg = write_cfg(tmp_path, lam={1: 1})
     rc = main(["--config", cfg, "gen-ineq", "--mode", "comb", "--k", "3", "--window", "9"])
     captured = capsys.readouterr()

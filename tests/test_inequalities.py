@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 from functools import partial
 from itertools import permutations
 
@@ -485,6 +486,28 @@ def test_close_keeps_no_more_rows_than_the_byte_limit(monkeypatch):
     monkeypatch.setattr(inequalities, "_ROW_BYTES", 12 * 2)
     with pytest.raises(RuntimeError, match="needs more than 2 rows of 12 bytes"):
         _close([variable(p) for p in (1, 2, 3)], no_step, 12)
+
+
+def test_close_builds_steps_only_for_the_positions_its_rows_reach():
+    """At width 10**6 + 1 the step table of ``_close`` covers the positions
+    its rows reach, not the width (a table over the width took 115 MiB
+    before the first row): a narrow closure converges in a few MiB, and a
+    wide one stops at the byte limit holding little besides its rows."""
+    ctx = make_context("A1")
+    width = 10**6 + 1
+    tracemalloc.start()
+    try:
+        narrow = boundary_closure_for_color(ctx, {1: 1}, 2, width)
+        narrow_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with pytest.raises(RuntimeError, match=f"closure at width {width} needs more than 67 "):
+            offset_closure_for_color(ctx, 1, width)
+        wide_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert narrow.converged and len(narrow) == 2
+    assert narrow_peak < 16 * width
+    assert wide_peak < inequalities._ROW_BYTES + 16 * width
 
 
 def _count_close_calls(monkeypatch):

@@ -271,7 +271,7 @@ def test_shape_kind_and_case_dispatch_frozen():
 # There is no shape cache: every call enumerates afresh, so a repeated call
 # gives an equal result, a capped run is never reused, and the node cap is
 # read on each call.
-def test_enumerate_shapes_cached_and_converged():
+def test_repeated_enumerate_shapes_calls_are_equal_and_converged():
     ctx = make_context("A1")
     a = enumerate_shapes(ctx, 3, 0, 9)
     assert enumerate_shapes(ctx, 3, 0, 9) == a
@@ -280,7 +280,7 @@ def test_enumerate_shapes_cached_and_converged():
     assert shape_form(ctx, 3, ground_shape(ctx, 3), 0) in forms
 
 
-def test_enumerate_shapes_never_caches_a_capped_run(monkeypatch):
+def test_enumerate_shapes_never_reuses_a_capped_run(monkeypatch):
     ctx = make_context("A1")
     monkeypatch.setenv("CRYSTAL_POLY_NODE_CAP", "5")
     family, converged = comb_lambda(ctx, {1: 1}, 3, 9)
@@ -290,7 +290,7 @@ def test_enumerate_shapes_never_caches_a_capped_run(monkeypatch):
     assert converged and len(family) == 53
 
 
-def test_enumerate_shapes_cache_is_keyed_by_the_node_cap(monkeypatch):
+def test_enumerate_shapes_reads_the_node_cap_on_each_call(monkeypatch):
     ctx = make_context("A1")
     forms, converged = enumerate_shapes(ctx, 3, 0, 9)
     assert converged and len(forms) > 5
@@ -336,21 +336,26 @@ def test_no_move_of_the_margin_two_bfs_lowers_the_last_position(monkeypatch):
     3 (every word) and 4 (four words), every family, color and offset 0 and
     1, keeps or raises the last position of the form: 18,162 moves, about
     2.5 s on one core of a 2-vCPU Xeon."""
-    children = shapes.shape_children
+    surveyor = shapes._survey
     moves = 0
-    last = {}  # last position of each shape's form, for the current (ctx, k, s)
 
-    def checked(ctx, shape):
-        nonlocal moves
-        top = last[shape] if shape in last else shape_form(ctx, k, shape, s).max_pos()
-        kids = children(ctx, shape)
-        for kid in kids:
-            last[kid] = shape_form(ctx, k, kid, s).max_pos()
-            assert last[kid] >= top, (ctx.word, k, s, shape, kid)
-        moves += len(kids)
-        return kids
+    def checked(ctx, k, s, kind):
+        survey = surveyor(ctx, k, s, kind)
+        made = {}  # id of each child handed out -> (child, its parent's last position)
 
-    monkeypatch.setattr(shapes, "shape_children", checked)
+        def run(shape):
+            nonlocal moves
+            form, kids = survey(shape)
+            move = made.pop(id(shape), None)
+            if move is not None and move[0] is shape:  # the BFS made this move
+                assert form.max_pos() >= move[1], (ctx.word, k, s, shape)
+                moves += 1
+            kids = list(kids)
+            made.update((id(kid), (kid, form.max_pos())) for kid in kids)
+            return form, kids
+        return run
+
+    monkeypatch.setattr(shapes, "_survey", checked)
     words = {3: list(permutations((1, 2, 3))),
              4: [(1, 2, 3, 4), (2, 1, 4, 3), (4, 3, 2, 1), (3, 1, 4, 2)]}
     for fam in ("A1", "A2", "C1", "D2"):
@@ -359,13 +364,12 @@ def test_no_move_of_the_margin_two_bfs_lowers_the_last_position(monkeypatch):
                 ctx = Context(fam, n, word)
                 for k in ctx.colors():
                     for s in (0, 1):
-                        last.clear()
                         assert enumerate_shapes(ctx, k, s, 1 + 2 * ctx.period)[1]
     assert moves == 18162
 
 
 def test_a_move_that_lowers_the_last_position_raises(monkeypatch):
-    monkeypatch.setattr(shapes, "shape_children", with_undo_moves(shapes.shape_children))
+    monkeypatch.setattr(shapes, "_survey", with_undo_moves(shapes._survey))
     ctx = make_context("A1")
     with pytest.raises(RuntimeError, match=re.escape(
             "eyd move lowers the last position from 3 to 0 (A1 word [2, 1, 3], color 3, "

@@ -31,9 +31,7 @@ from crystal_poly.inequalities import (
 )
 from crystal_poly.shapes import (
     eyd_form,
-    eyd_term_index,
     ground_shape,
-    reyd_adm_index,
     reyd_form,
     shape_children,
     shape_form,
@@ -226,15 +224,30 @@ def reference_eyd_moves(d):
     return (concave, convex), adds, rems
 
 
-def with_undo_moves(children):
-    """``children`` (a ``shape_children``) plus, from every nonground shape, a
-    move back to the ground of its family: at offset 0 that move lowers the
-    last position of the form to 0, which the shape enumeration must refuse."""
-    def moves(ctx: Context, shape):
-        ground = type(shape)(shape.charge)
-        kids = children(ctx, shape)
-        return kids if shape == ground else kids + [ground]
-    return moves
+def with_undo_moves(surveyor):
+    """``surveyor`` (a ``shapes._survey``) with, from every nonground shape,
+    one more move: back to the ground of its family.  At offset 0 that move
+    lowers the last position of the form to 0, which the shape enumeration
+    must refuse."""
+    def undo_survey(ctx: Context, k: int, s: int, kind: str):
+        survey = surveyor(ctx, k, s, kind)
+
+        def moves(shape):
+            form, kids = survey(shape)
+            ground = type(shape)(shape.charge)
+            return form, kids if shape == ground else [*kids, ground]
+        return moves
+    return undo_survey
+
+
+def eyd_term_index(ctx: Context, k: int, s: int, i: int, j: int) -> tuple[int, int]:
+    """(occurrence index, color) of the form term attached to corner (i, j)."""
+    return s + ctx.shift(k, i + j) + min(k - j, i), ctx.fold(i + j)
+
+
+def reyd_adm_index(ctx: Context, k: int, s: int, i: int, level: int) -> tuple[int, int]:
+    """(occurrence index, color) of the form term of the point at entry i."""
+    return s + ctx.shift(k, i + k) + min(i, 0) + k - level, ctx.fold(i + k)
 
 
 # ----------------------------------------------------------------------------------
