@@ -327,9 +327,9 @@ def _close(seeds, delta, bound: int) -> ClosureResult:
     ``1..width``, and the constant, of any size, sits above those bytes.  A
     step's form depends only on (position, sign), so each is packed once per
     call, when first needed, with unbiased coefficients; a step is then one
-    integer addition.  Translating a row's bytes through ``_CLASSES`` gives
-    its nonzero positions and their signs; the table of steps grows to the
-    last nonzero position any row has, not to the width.
+    integer addition, tabled for the positions the seeds and packed steps
+    reach, which hold every nonzero coefficient of every row.  Translating a
+    row's bytes through ``_CLASSES`` gives its nonzero positions and signs.
 
     No carry: the addition is exact byte by byte as long as every sum stays
     in ``0..255``.  Seeds and step forms must have coefficients within
@@ -358,8 +358,13 @@ def _close(seeds, delta, bound: int) -> ClosureResult:
     shift = 8 * width  # the constant's offset
     mask = (1 << shift) - 1  # the coefficient bytes
     zero = _zero_row(width)
+    past = ()  # a step form reaching past width: falsy like "no move", but pruned
+    unset = object()
+    slots = []  # per position packed: [position, step if positive, if negative]
 
     def pack(form: LinearForm) -> int:
+        if len(form._row) > len(slots):
+            slots.extend([p, unset, unset] for p in range(len(slots) + 1, len(form._row) + 1))
         row = form.constant << shift
         for i, c in enumerate(form._row):
             if abs(c) > _SPAN:
@@ -367,21 +372,16 @@ def _close(seeds, delta, bound: int) -> ClosureResult:
             row += c << 8 * i
         return row
 
-    past = ()  # a step form reaching past width: falsy like "no move", but pruned
-    unset = object()
-    slots = []  # per position a row reached: [position, step if positive, if negative]
     queue = deque(zero + pack(f) for f in start)
     seen = set(queue)
     pruned = 0
     converged = True
     while queue:
         row = queue.popleft()
-        classes = (row & mask).to_bytes(width, "little").translate(_CLASSES).rstrip(b"\0")
+        classes = (row & mask).to_bytes(width, "little").translate(_CLASSES)
         if _OUT in classes:
             i = classes.index(_OUT)
             raise _span_error(((row >> 8 * i) & 255) - _BIAS, i + 1)
-        if len(classes) > len(slots):
-            slots += [[p, unset, unset] for p in range(len(slots) + 1, len(classes) + 1)]
         for slot, sign in compress(zip(slots, classes), classes):
             step = slot[sign]
             if step is unset:

@@ -285,7 +285,7 @@ class YoungWall(_Shape):
     def _fits(self, ctx: Context, left: int | None, c: int, right: int) -> bool:
         """Whether a column may hold c slots between columns of ``left``
         (None left of column 0) and ``right`` slots."""
-        return (c >= max(right, 1) and (left is None or c <= left)
+        return (c >= right and c >= 1 and (left is None or c <= left)
                 and not (c in (left, right) and self._full(ctx, c)))
 
     def _pass(self, ctx: Context):
@@ -295,11 +295,11 @@ class YoungWall(_Shape):
         leaving column i of c slots is listed at (i + 1, c - 1), where its term is read."""
         cols, charge, plus, minus = self.cols, self.charge, [], []
         for i, (left, c, right) in enumerate(zip((None,) + cols, cols + (1,), cols[1:] + (1, 1))):
-            if ctx.wall_slot(charge, c)[2] == 0 and self._fits(ctx, left, c + 2, right):
+            if self._fits(ctx, left, c + 2, right) and ctx.wall_slot(charge, c)[2] == 0:
                 plus.append((i, c, 2))
             elif self._fits(ctx, left, c + 1, right):
                 plus.append((i, c, 1))
-            if ctx.wall_slot(charge, c - 1)[2] == 1 and self._fits(ctx, left, c - 2, right):
+            if self._fits(ctx, left, c - 2, right) and ctx.wall_slot(charge, c - 1)[2] == 1:
                 minus.append((i + 1, c - 1, -2))
             elif self._fits(ctx, left, c - 1, right):
                 minus.append((i + 1, c - 1, -1))
@@ -369,10 +369,10 @@ def _survey(ctx: Context, k: int, s: int, kind: str):
         return n * (s - 1 + ctx.shift(k, t)) + ctx.first_pos(ctx.fold(t))
     if kind == "eyd":
         def place(points):
-            return [(table(i + j) + n * min(k - j, i), c) for i, j, c in points]
+            return [(table(i + j) + n * (k - j if k - j < i else i), c) for i, j, c in points]
     elif kind == "reyd":
         def place(points):
-            return [(table(t + k) + n * (min(t, 0) + k - y), c) for t, y, c in points]
+            return [(table(t + k) + n * ((t if t < 0 else 0) + k - y), c) for t, y, c in points]
     else:
         def place(points):
             return [(table(c) + n * i, d) for i, c, d in points]
