@@ -358,9 +358,9 @@ def _survey(ctx: Context, k: int, s: int, kind: str):
     min(t, 0) + k - y`` of ``fold(t + k)`` for a revised diagram's entry t at
     level y, and ``s + wall_shift(k, band) + i`` for a wall's slot at column
     i.  All but the last summand depend on one pattern slot, whose position
-    a table local to the survey computes once, when first read."""
+    a table local to the survey computes once, when first read.  The mins
+    are written out: a call of the builtin costs as much as the rest."""
     n = ctx.n
-
     @cache
     def table(t):  # the term position of pattern slot t, all but the last summand
         if kind == "wall":
